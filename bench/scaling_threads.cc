@@ -2,12 +2,12 @@
 // Table II suite at 1/2/4/8 threads, uncached (raw parsing is the work
 // being parallelized), verifying byte-identical results at every degree.
 //
-// A second section measures the shared-scan mode: K ∈ {1,2,4,8} clients
-// fire the same query concurrently at one session, with scan sharing off
-// (every client parses every split) and on (concurrent subscriptions
-// coalesce into one parse pass per morsel — exec/shared_scan.h), again
-// verifying byte-identical results and reporting the pass/coalesce
-// counters that prove the sharing happened.
+// A second section measures scan sharing: K ∈ {1,2,4,8} clients send the
+// same query to one session, first back to back (every request parses
+// every split) and then all at once (concurrent scans coalesce into one
+// parse pass per split — exec/shared_scan.h), again verifying
+// byte-identical results and reporting the pass/coalesce counters that
+// prove the sharing happened.
 //
 // Writes BENCH_scaling.json with both curves. Speedups are only meaningful
 // up to the machine's core count (reported in the JSON); on a single-core
@@ -134,12 +134,13 @@ int main() {
   std::printf("\nresults byte-identical across degrees: %s\n",
               identical ? "yes" : "NO");
 
-  // ---- Shared-scan mode: K concurrent clients, same query ----
-  // K threads fire Q1 at the session simultaneously (spin barrier so they
-  // really overlap); with sharing off every client decodes every split,
-  // with sharing on concurrent subscriptions coalesce into one parse pass
-  // per morsel. Engine Execute is concurrency-safe (the serving layer runs
-  // many tenants on one engine), so the bench drives the session directly.
+  // ---- Scan sharing: K clients, same query, serial vs concurrent ----
+  // Serial: the K requests run back to back, so no two scans overlap and
+  // every request parses every split. Concurrent: K threads fire at once
+  // (spin barrier so they really overlap) and their scans coalesce into
+  // one parse pass per split. Engine Execute is concurrency-safe (the
+  // serving layer runs many tenants on one engine), so the bench drives
+  // the session directly.
   const BenchmarkQuery& shared_query = queries.front();
   {
     maxson::core::SessionUpdate update;
@@ -154,26 +155,39 @@ int main() {
     return warm.ok() ? maxson::engine::FingerprintBatch(warm->batch)
                      : std::string();
   }();
+  const auto matches_baseline = [&] {
+    auto result = session.Execute(shared_query.sql);
+    return result.ok() && maxson::engine::FingerprintBatch(result->batch) ==
+                              shared_fp_baseline;
+  };
 
   struct SharedPoint {
     size_t clients = 0;
-    double off_seconds = 0;
-    double on_seconds = 0;
-    uint64_t parse_passes = 0;      // passes executed with sharing on
+    double serial_seconds = 0;
+    double concurrent_seconds = 0;
+    uint64_t parse_passes = 0;      // passes the concurrent batch executed
     uint64_t coalesced_parses = 0;  // registrations that joined a pass
   };
   std::vector<SharedPoint> shared_points;
 
-  // Runs one K-client batch; returns the batch wall time.
-  const auto run_batch = [&](size_t clients, bool sharing,
-                             bool* all_ok) -> double {
-    maxson::core::SessionUpdate update;
-    update.shared_scan = sharing;
-    if (auto st = session.UpdateConfig(update); !st.ok()) {
-      std::fprintf(stderr, "%s\n", st.ToString().c_str());
+  // Runs K requests back to back; returns the batch wall time.
+  const auto run_serial = [&](size_t clients, bool* all_ok) -> double {
+    bool ok = true;
+    maxson::Stopwatch timer;
+    for (size_t i = 0; i < clients; ++i) ok = matches_baseline() && ok;
+    const double elapsed = timer.ElapsedSeconds();
+    if (!ok) {
+      std::fprintf(stderr,
+                   "serial batch (%zu requests) failed or diverged from the "
+                   "baseline result!\n",
+                   clients);
       *all_ok = false;
-      return 0;
     }
+    return elapsed;
+  };
+
+  // Runs K requests at once, one thread each; returns the batch wall time.
+  const auto run_concurrent = [&](size_t clients, bool* all_ok) -> double {
     std::atomic<size_t> ready{0};
     std::atomic<bool> go{false};
     std::atomic<bool> ok{true};
@@ -184,12 +198,7 @@ int main() {
         ready.fetch_add(1);
         while (!go.load(std::memory_order_acquire)) {
         }
-        auto result = session.Execute(shared_query.sql);
-        if (!result.ok() ||
-            maxson::engine::FingerprintBatch(result->batch) !=
-                shared_fp_baseline) {
-          ok.store(false);
-        }
+        if (!matches_baseline()) ok.store(false);
       });
     }
     while (ready.load() < clients) {
@@ -200,43 +209,36 @@ int main() {
     const double elapsed = timer.ElapsedSeconds();
     if (!ok.load()) {
       std::fprintf(stderr,
-                   "shared-scan batch (%zu clients, sharing %s) failed or "
-                   "diverged from the baseline result!\n",
-                   clients, sharing ? "on" : "off");
+                   "concurrent batch (%zu clients) failed or diverged from "
+                   "the baseline result!\n",
+                   clients);
       *all_ok = false;
     }
     return elapsed;
   };
 
-  std::printf("\nshared-scan mode — %s, %zu concurrent clients "
-              "(pool degree 4)\n",
+  std::printf("\nscan sharing — %s, up to %zu clients (pool degree 4)\n",
               shared_query.name.c_str(), size_t{8});
-  std::printf("%-8s %12s %12s %9s %8s %10s\n", "clients", "off(ms)", "on(ms)",
-              "speedup", "passes", "coalesced");
+  std::printf("%-8s %12s %14s %9s %8s %10s\n", "clients", "serial(ms)",
+              "concurrent(ms)", "speedup", "passes", "coalesced");
   bool shared_ok = !shared_fp_baseline.empty();
   for (const size_t clients : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
     SharedPoint point;
     point.clients = clients;
-    point.off_seconds = run_batch(clients, false, &shared_ok);
+    point.serial_seconds = run_serial(clients, &shared_ok);
     const maxson::core::SessionStats before = session.stats();
-    point.on_seconds = run_batch(clients, true, &shared_ok);
+    point.concurrent_seconds = run_concurrent(clients, &shared_ok);
     const maxson::core::SessionStats after = session.stats();
     point.parse_passes =
         after.sharedscan_parse_passes - before.sharedscan_parse_passes;
     point.coalesced_parses =
         after.sharedscan_coalesced_parses - before.sharedscan_coalesced_parses;
-    std::printf("%-8zu %12.2f %12.2f %8.2fx %8llu %10llu\n", clients,
-                point.off_seconds * 1e3, point.on_seconds * 1e3,
-                point.off_seconds / point.on_seconds,
+    std::printf("%-8zu %12.2f %14.2f %8.2fx %8llu %10llu\n", clients,
+                point.serial_seconds * 1e3, point.concurrent_seconds * 1e3,
+                point.serial_seconds / point.concurrent_seconds,
                 static_cast<unsigned long long>(point.parse_passes),
                 static_cast<unsigned long long>(point.coalesced_parses));
     shared_points.push_back(point);
-  }
-  {
-    // Leave the session as the first section configured it.
-    maxson::core::SessionUpdate update;
-    update.shared_scan = false;
-    (void)session.UpdateConfig(update);
   }
   identical = identical && shared_ok;
 
@@ -262,9 +264,10 @@ int main() {
   for (size_t p = 0; p < shared_points.size(); ++p) {
     const SharedPoint& point = shared_points[p];
     json << "    {\"clients\": " << point.clients
-         << ", \"seconds_off\": " << point.off_seconds
-         << ", \"seconds_on\": " << point.on_seconds
-         << ", \"speedup\": " << point.off_seconds / point.on_seconds
+         << ", \"seconds_serial\": " << point.serial_seconds
+         << ", \"seconds_concurrent\": " << point.concurrent_seconds
+         << ", \"speedup\": "
+         << point.serial_seconds / point.concurrent_seconds
          << ", \"parse_passes\": " << point.parse_passes
          << ", \"coalesced_parses\": " << point.coalesced_parses << "}"
          << (p + 1 < shared_points.size() ? "," : "") << "\n";

@@ -1,6 +1,8 @@
 #include "core/cacher.h"
 
+#include <algorithm>
 #include <map>
+#include <tuple>
 
 #include "common/time_util.h"
 #include "json/json_path.h"
@@ -337,7 +339,15 @@ Result<CachingStats> JsonPathCacher::RepopulateCache(
     by_table[s.candidate.location.database + "." + s.candidate.location.table]
         .push_back(s.candidate.location);
   }
-  for (const auto& [qualified, paths] : by_table) {
+  for (auto& [qualified, paths] : by_table) {
+    // Fixed column order: selections arrive in score order, and scores
+    // carry a stopwatch reading, so ordering by score would change the
+    // cache files' bytes from run to run.
+    std::sort(paths.begin(), paths.end(),
+              [](const workload::JsonPathLocation& a,
+                 const workload::JsonPathLocation& b) {
+                return std::tie(a.column, a.path) < std::tie(b.column, b.path);
+              });
     const size_t dot = qualified.find('.');
     MAXSON_RETURN_NOT_OK(CacheTablePaths(qualified.substr(0, dot),
                                          qualified.substr(dot + 1), paths,

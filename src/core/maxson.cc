@@ -296,14 +296,6 @@ Status MaxsonSession::UpdateConfig(const SessionUpdate& update) {
     MAXSON_RETURN_NOT_OK(
         storage::FaultInjector::Instance().Configure(*update.fault_injection));
   }
-  if (update.shared_scan.has_value()) {
-    engine_->set_shared_scan(*update.shared_scan);
-    config_.engine.enable_shared_scan = *update.shared_scan;
-  }
-  if (update.morsel_rows.has_value()) {
-    engine_->set_morsel_rows(static_cast<size_t>(*update.morsel_rows));
-    config_.engine.morsel_rows = static_cast<size_t>(*update.morsel_rows);
-  }
   if (update.corc_encoding.has_value()) {
     config_.corc_encoding = *update.corc_encoding;
     cacher_->set_format_version(*update.corc_encoding
@@ -329,8 +321,6 @@ SessionStats MaxsonSession::stats() const {
   stats.simd_isa = simd::IsaName(simd::ActiveIsa());
   stats.fault_injection = storage::FaultInjector::Instance().spec();
   stats.ondemand_enabled = config_.engine.enable_ondemand;
-  stats.shared_scan_enabled = config_.engine.enable_shared_scan;
-  stats.morsel_rows = config_.engine.morsel_rows;
   stats.corc_encoding_enabled = config_.corc_encoding;
   const exec::SharedScanStats shared =
       engine_->shared_scan_manager()->stats();
@@ -379,16 +369,6 @@ void RegisterSessionOptions(OptionRegistry* registry, MaxsonSession* session) {
                              update.fault_injection = spec;
                              return session->UpdateConfig(update);
                            });
-  registry->RegisterBool("sharedscan", "on|off", [session](bool on) {
-    SessionUpdate update;
-    update.shared_scan = on;
-    return session->UpdateConfig(update);
-  });
-  registry->RegisterUint64("morselsize", "ROWS", [session](uint64_t rows) {
-    SessionUpdate update;
-    update.morsel_rows = rows;
-    return session->UpdateConfig(update);
-  });
   registry->RegisterBool("corcencoding", "on|off", [session](bool on) {
     SessionUpdate update;
     update.corc_encoding = on;

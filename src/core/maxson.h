@@ -92,11 +92,6 @@ struct SessionUpdate {
   /// testing: "fail:N", "torn:N", "short:N", or "off" (see
   /// storage::FaultInjector). Malformed specs are rejected.
   std::optional<std::string> fault_injection;
-  /// Toggles shared-scan coalescing: concurrent queries over one table
-  /// merge into one parse pass per morsel (see exec/shared_scan.h).
-  std::optional<bool> shared_scan;
-  /// Target rows per shared-scan morsel (0 = one morsel per split).
-  std::optional<uint64_t> morsel_rows;
   /// Toggles CORC v3 adaptive chunk encodings for cache files written from
   /// now on (off = v2 plain chunks; already-written files stay readable).
   std::optional<bool> corc_encoding;
@@ -123,12 +118,10 @@ struct SessionStats {
   std::string fault_injection;
   /// On-demand parsing tier knob (see json/ondemand_parser.h).
   bool ondemand_enabled = false;
-  /// Shared-scan knobs and lifetime totals (see exec/shared_scan.h; the
-  /// totals are scheduling counters, not deterministic query outcomes).
-  bool shared_scan_enabled = false;
-  uint64_t morsel_rows = 0;
   /// CORC v3 adaptive chunk encoding knob (see storage/encoding.h).
   bool corc_encoding_enabled = false;
+  /// Shared-scan lifetime totals (see exec/shared_scan.h): scheduling
+  /// counters, not deterministic query outcomes.
   uint64_t sharedscan_subscribers = 0;
   uint64_t sharedscan_parse_passes = 0;
   uint64_t sharedscan_coalesced_parses = 0;
@@ -305,9 +298,7 @@ class MaxsonSession {
 
 /// Registers the session's runtime knobs ("set KNOB VALUE") on `registry`:
 /// threads, trace, rawfilter, ondemand, budget, isa, faultinject,
-/// sharedscan, morselsize, corcencoding. Every setter routes through the
-/// one validated
-/// UpdateConfig
+/// corcencoding. Every setter routes through the one validated UpdateConfig
 /// entry point, so registry-driven frontends (the shell) and programmatic
 /// callers share identical validation. `session` must outlive the registry.
 void RegisterSessionOptions(OptionRegistry* registry, MaxsonSession* session);

@@ -336,12 +336,7 @@ Result<QueryResult> QueryEngine::Execute(const std::string& sql) {
   exec_ctx.plan_seconds = plan_seconds;
   exec_ctx.pool = pool_.get();
   exec_ctx.enable_ondemand = config_.enable_ondemand;
-  if (config_.enable_shared_scan) {
-    exec_ctx.shared_scan = shared_scan_.get();
-    exec_ctx.scan_validity =
-        scan_validity_source_ ? scan_validity_source_() : 0;
-    exec_ctx.morsel_rows = config_.morsel_rows;
-  }
+  exec_ctx.scan_validity = scan_validity_source_ ? scan_validity_source_() : 0;
   MAXSON_ASSIGN_OR_RETURN(QueryResult executed, ExecutePlan(plan, exec_ctx));
   if (stmt.kind == StatementKind::kExplainAnalyze) {
     QueryResult result;
@@ -543,7 +538,8 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
   std::optional<obs::TraceSpan> scan_span;
   scan_span.emplace(tracer_, "scan", "query");
   MAXSON_ASSIGN_OR_RETURN(RecordBatch left,
-                          ExecuteScan(plan.scan, &metrics, exec_ctx));
+                          ExecuteScan(plan.scan, &metrics, exec_ctx,
+                                      *shared_scan_));
   scan_span.reset();
   if (exec_ctx.cancelled()) return Status::Cancelled("query cancelled");
 
@@ -551,7 +547,8 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
   if (plan.join_scan.has_value()) {
     scan_span.emplace(tracer_, "scan.join", "query");
     MAXSON_ASSIGN_OR_RETURN(RecordBatch right,
-                            ExecuteScan(*plan.join_scan, &metrics, exec_ctx));
+                            ExecuteScan(*plan.join_scan, &metrics, exec_ctx,
+                                        *shared_scan_));
     scan_span.reset();
     if (exec_ctx.cancelled()) return Status::Cancelled("query cancelled");
     obs::TraceSpan join_span(tracer_, "join", "query");

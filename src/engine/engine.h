@@ -69,17 +69,6 @@ struct EngineConfig {
   /// every level; see src/simd/kernels.h. Applied best-effort at engine
   /// construction — unknown names log a warning and keep the current level.
   std::string force_isa = "";
-  /// Route scans through the engine's SharedScanManager so concurrent
-  /// queries over one table coalesce into one parse pass per morsel (see
-  /// exec/shared_scan.h). Results are byte-identical either way; per-query
-  /// metrics under sharing attribute passes to whichever query executed
-  /// them. Off by default: single-session workloads gain nothing and keep
-  /// the fully deterministic per-query metrics of the private path.
-  bool enable_shared_scan = false;
-  /// Target rows per shared-scan morsel; 0 = one morsel per split (the
-  /// paper's one-file-one-split granularity). Smaller morsels increase
-  /// steal/coalesce opportunities at bookkeeping cost.
-  size_t morsel_rows = 0;
 };
 
 /// The mini analytical engine: SparkSQL's role in the paper. Parses SQL,
@@ -143,13 +132,9 @@ class QueryEngine {
   /// thread-safety contract as set_num_threads.
   void set_ondemand(bool enabled) { config_.enable_ondemand = enabled; }
 
-  /// Toggles shared-scan coalescing / sets the morsel-row target; consulted
-  /// per query. Same thread-safety contract as set_num_threads.
-  void set_shared_scan(bool enabled) { config_.enable_shared_scan = enabled; }
-  void set_morsel_rows(size_t rows) { config_.morsel_rows = rows; }
-
-  /// The engine's shared-scan manager (always constructed; engaged only
-  /// when enable_shared_scan is on). Exposed for stats and tests.
+  /// The shared-scan manager every scan of this engine subscribes to, so
+  /// concurrent queries over one table coalesce into one parse pass per
+  /// split (see exec/shared_scan.h). Exposed for stats and tests.
   exec::SharedScanManager* shared_scan_manager() const {
     return shared_scan_.get();
   }
@@ -177,7 +162,7 @@ class QueryEngine {
   /// Executes an already-built plan under `ctx` (see exec_context.h for
   /// the fields; Execute() assembles the context from the engine's
   /// configuration). A default-constructed context runs the plan
-  /// sequentially and unshared.
+  /// sequentially; its scans still subscribe to the engine's manager.
   Result<QueryResult> ExecutePlan(const PhysicalPlan& plan,
                                   const ExecContext& ctx);
 
@@ -234,8 +219,8 @@ class QueryEngine {
   obs::MetricsRegistry* metrics_registry_ = nullptr;
   obs::TraceRecorder* tracer_ = nullptr;
   std::shared_ptr<exec::ThreadPool> pool_;
-  /// Coalesces concurrent scans into shared parse passes; engaged per
-  /// query when config_.enable_shared_scan is set (see exec/shared_scan.h).
+  /// Coalesces concurrent scans into shared parse passes (see
+  /// exec/shared_scan.h).
   std::unique_ptr<exec::SharedScanManager> shared_scan_;
   /// Cache-state stamp source for shared-scan group keys; see
   /// set_scan_validity_source.

@@ -2,11 +2,9 @@
 #define MAXSON_ENGINE_EXEC_CONTEXT_H_
 
 #include <atomic>
-#include <cstddef>
 #include <cstdint>
 
 namespace maxson::exec {
-class SharedScanManager;
 class ThreadPool;
 }  // namespace maxson::exec
 
@@ -20,27 +18,20 @@ namespace maxson::engine {
 /// signature on the path.
 ///
 /// Plain pointers are non-owning and may be null; a default-constructed
-/// context executes sequentially, unshared, and uncancellable — the
-/// simplest correct configuration.
+/// context executes sequentially and uncancellable — the simplest correct
+/// configuration. Scans subscribe to the engine's own SharedScanManager.
 struct ExecContext {
   /// Planning time carried into the result's metrics.
   double plan_seconds = 0;
-  /// Pool fanning splits/morsels and row chunks; null runs inline.
+  /// Pool fanning split passes and row chunks; null runs inline.
   exec::ThreadPool* pool = nullptr;
-  /// When set, scans subscribe to shared parse passes instead of parsing
-  /// privately (the engine passes its manager only when the sharedscan
-  /// knob is on, so a null here means the per-query path).
-  exec::SharedScanManager* shared_scan = nullptr;
   /// Cache-state stamp (CacheRegistry version) keying shared-scan groups:
   /// queries planned across an invalidation never share passes.
   uint64_t scan_validity = 0;
-  /// Target rows per morsel for shared scans; 0 = one morsel per split
-  /// (the paper's one-file-one-split granularity).
-  size_t morsel_rows = 0;
   /// Route uncached JSON extraction (selective path sets only) through the
   /// on-demand parsing tier; set from EngineConfig::enable_ondemand.
   bool enable_ondemand = false;
-  /// Cooperative cancellation: checked between splits/morsels and between
+  /// Cooperative cancellation: checked between split passes and between
   /// operators, never mid-pass. Null = uncancellable.
   const std::atomic<bool>* cancel = nullptr;
 

@@ -1,6 +1,7 @@
 #include "engine/table_scan.h"
 
 #include <map>
+#include <memory>
 #include <optional>
 #include <utility>
 
@@ -8,7 +9,6 @@
 #include "common/time_util.h"
 #include "engine/planner.h"
 #include "exec/shared_scan.h"
-#include "exec/thread_pool.h"
 #include "json/json_path.h"
 #include "json/ondemand_parser.h"
 #include "storage/corc_reader.h"
@@ -63,85 +63,75 @@ SearchArgument ReconcileSargWithSchema(const SearchArgument& sarg,
   return out;
 }
 
-/// The physical columns one pass decodes: raw columns by name, cache
-/// columns by binding. A private scan's spec comes straight from its
-/// ScanNode; a shared pass's spec is the decoded *union* of every
-/// subscriber's columns.
-struct ScanSpec {
-  std::vector<std::string> raw_columns;
-  std::vector<CacheColumnRequest> cache_columns;
-  /// Route selective JSON re-derivation (kOndemandMaxPaths or fewer paths
-  /// per source column) through the on-demand parsing tier; copied from
-  /// ExecContext::enable_ondemand.
-  bool enable_ondemand = false;
-};
-
 /// A path set counts as selective — worth tape-cursoring instead of one
 /// full DOM parse — up to this many JSONPaths per source column. Beyond it
 /// the DOM parse amortizes better across paths (the Fig. 15 crossover;
 /// measured in bench/fig15_parsers.cc).
 constexpr size_t kOndemandMaxPaths = 4;
 
-ScanSpec SpecFromScan(const ScanNode& scan) {
-  ScanSpec spec;
-  spec.raw_columns = scan.columns;
-  spec.cache_columns = scan.cache_columns;
-  return spec;
+/// Appends the cells of `src` to `dst`: a move when the types agree, else
+/// a per-cell conversion (a cache column typed numeric by the cacher is
+/// exposed as a string, like get_json_object's result).
+void AppendCells(storage::ColumnVector&& src, storage::ColumnVector* dst) {
+  if (src.type() == dst->type()) {
+    dst->AppendColumn(std::move(src));
+    return;
+  }
+  for (size_t r = 0; r < src.size(); ++r) dst->AppendValue(src.GetValue(r));
 }
 
-/// One subscriber's (raw SARG, cache SARG) pair. A pass prunes row groups
-/// with the *disjunction* of its predicates: a group is read when any
-/// subscriber's pair keeps it. Sound because pruning is advisory — every
+/// Reads one split, combining raw and cached columns — the cache half of
+/// Algorithm 2's value combiner; on cache corruption the caller retries
+/// with ScanSplitRawFallback. `out` has one column per entry of `columns`,
+/// in that order. Row groups are pruned with the *disjunction* of the
+/// subscribers' `predicates`: a group is read when any subscriber's pair
+/// of SARGs keeps it. Sound because pruning is advisory — every
 /// subscriber's residual WHERE filter re-checks the surviving rows — and a
 /// non-empty SARG implies the plan carries that residual filter.
-using SargPair = std::pair<SearchArgument, SearchArgument>;
-
-/// Stripes [begin, end) of a split; nullopt = every stripe.
-struct StripeRange {
-  size_t begin = 0;
-  size_t end = 0;
-};
-
-/// Reads one stripe range of one split, combining raw and cached columns
-/// row-by-row. The cache half of the combiner; on cache corruption the
-/// caller retries with ScanSplitRawFallback. `out`'s columns are
-/// spec.raw_columns followed by spec.cache_columns, in order.
-Status ScanSplitCached(const ScanSpec& spec,
-                       const std::vector<SargPair>& predicates,
+Status ScanSplitCached(const std::vector<exec::ColumnKey>& columns,
+                       const std::vector<exec::ScanPredicate>& predicates,
                        const std::string& path, size_t split_index,
-                       std::optional<StripeRange> range, RecordBatch* out,
-                       QueryMetrics* metrics) {
+                       RecordBatch* out, QueryMetrics* metrics) {
   CorcReader primary(path);
   MAXSON_RETURN_NOT_OK(primary.Open());
 
-  // Resolve raw column indexes in the file schema.
+  // Resolve each column in its file's schema, remembering its output slot.
   std::vector<int> raw_indexes;
-  raw_indexes.reserve(spec.raw_columns.size());
-  for (const std::string& name : spec.raw_columns) {
-    const int idx = primary.schema().FindField(name);
+  std::vector<size_t> raw_slots;
+  std::vector<const exec::ColumnKey*> cache_keys;
+  std::vector<size_t> cache_slots;
+  for (size_t i = 0; i < columns.size(); ++i) {
+    if (columns[i].is_cache()) {
+      cache_keys.push_back(&columns[i]);
+      cache_slots.push_back(i);
+      continue;
+    }
+    const int idx = primary.schema().FindField(columns[i].name);
     if (idx < 0) {
-      return Status::NotFound("column " + name + " missing in " + path);
+      return Status::NotFound("column " + columns[i].name + " missing in " +
+                              path);
     }
     raw_indexes.push_back(idx);
+    raw_slots.push_back(i);
   }
 
   // Open the synchronized cache reader when cache columns are requested.
   std::unique_ptr<CorcReader> cache;
   std::vector<int> cache_indexes;
-  if (!spec.cache_columns.empty()) {
-    const std::string cache_path = spec.cache_columns[0].cache_table_dir +
-                                   "/" + FileSystem::PartFileName(split_index);
+  if (!cache_keys.empty()) {
+    const std::string cache_path = cache_keys[0]->cache_dir + "/" +
+                                   FileSystem::PartFileName(split_index);
     cache = std::make_unique<CorcReader>(cache_path);
     MAXSON_RETURN_NOT_OK(cache->Open());
     if (cache->num_rows() != primary.num_rows()) {
       return Status::Internal("cache/raw row count mismatch on split " +
                               std::to_string(split_index));
     }
-    for (const CacheColumnRequest& req : spec.cache_columns) {
-      const int idx = cache->schema().FindField(req.cache_field);
+    for (const exec::ColumnKey* key : cache_keys) {
+      const int idx = cache->schema().FindField(key->name);
       if (idx < 0) {
-        return Status::NotFound("cache field " + req.cache_field +
-                                " missing in " + cache_path);
+        return Status::NotFound("cache field " + key->name + " missing in " +
+                                cache_path);
       }
       cache_indexes.push_back(idx);
     }
@@ -162,47 +152,37 @@ Status ScanSplitCached(const ScanSpec& spec,
   };
   std::vector<ReconciledPair> preds;
   preds.reserve(predicates.size());
-  for (const SargPair& p : predicates) {
+  for (const exec::ScanPredicate& p : predicates) {
     ReconciledPair rp;
     rp.raw = (cache != nullptr && !aligned)
                  ? SearchArgument()
-                 : ReconcileSargWithSchema(p.first, primary.schema());
+                 : ReconcileSargWithSchema(p.raw_sarg, primary.schema());
     rp.cache = cache != nullptr
-                   ? ReconcileSargWithSchema(p.second, cache->schema())
+                   ? ReconcileSargWithSchema(p.cache_sarg, cache->schema())
                    : SearchArgument();
     preds.push_back(std::move(rp));
   }
 
-  const StripeRange stripes =
-      range.value_or(StripeRange{0, primary.num_stripes()});
-
   // When the two files' stripe structures diverge (the paper's alignment
   // optimization only covers single-stripe files), fall back to positional
   // combining: read the whole cache file once and slice cache rows by
-  // absolute offset (the primary row offset of the range's first stripe).
+  // absolute offset.
   RecordBatch cache_full;
   size_t cache_row_offset = 0;
   if (cache != nullptr && !aligned) {
     for (size_t cs = 0; cs < cache->num_stripes(); ++cs) {
       MAXSON_ASSIGN_OR_RETURN(
           RecordBatch part,
-          cache->ReadStripe(cs, cache_indexes, std::nullopt,
-                            metrics != nullptr ? &metrics->read : nullptr));
+          cache->ReadStripe(cs, cache_indexes, std::nullopt, &metrics->read));
       if (cs == 0) {
         cache_full = std::move(part);
       } else {
-        for (size_t r = 0; r < part.num_rows(); ++r) {
-          cache_full.AppendRow(part.GetRow(r));
-        }
+        cache_full.AppendBatch(std::move(part));
       }
-    }
-    for (size_t s = 0; s < stripes.begin; ++s) {
-      cache_row_offset +=
-          static_cast<size_t>(primary.footer().stripes[s].num_rows);
     }
   }
 
-  for (size_t s = stripes.begin; s < stripes.end; ++s) {
+  for (size_t s = 0; s < primary.num_stripes(); ++s) {
     // Row-group inclusion, per subscriber: the raw SARG's exclusions ANDed
     // with the cache SARG's exclusions when alignment permits (Algorithm
     // 3); the pass then reads the union — a group survives when any
@@ -233,16 +213,13 @@ Status ScanSplitCached(const ScanSpec& spec,
         if (inc[g]) include[g] = true;
       }
     }
-    if (metrics != nullptr) {
-      for (size_t g = 0; g < include.size(); ++g) {
-        if (raw_union[g] && !include[g]) ++metrics->shared_skips;
-      }
+    for (size_t g = 0; g < include.size(); ++g) {
+      if (raw_union[g] && !include[g]) ++metrics->shared_skips;
     }
 
     MAXSON_ASSIGN_OR_RETURN(
         RecordBatch raw_batch,
-        primary.ReadStripe(s, raw_indexes, include,
-                           metrics != nullptr ? &metrics->read : nullptr));
+        primary.ReadStripe(s, raw_indexes, include, &metrics->read));
     RecordBatch cache_batch;
     if (cache != nullptr) {
       if (aligned) {
@@ -251,8 +228,7 @@ Status ScanSplitCached(const ScanSpec& spec,
         // guarantee).
         MAXSON_ASSIGN_OR_RETURN(
             cache_batch,
-            cache->ReadStripe(s, cache_indexes, include,
-                              metrics != nullptr ? &metrics->read : nullptr));
+            cache->ReadStripe(s, cache_indexes, include, &metrics->read));
       } else {
         // Positional fallback: slice the pre-read cache rows matching this
         // stripe's absolute row range.
@@ -280,77 +256,72 @@ Status ScanSplitCached(const ScanSpec& spec,
           cache_batch.num_rows() != raw_batch.num_rows()) {
         return Status::Internal("value combiner row misalignment");
       }
-      if (metrics != nullptr) {
-        metrics->cache_columns_read += cache_indexes.size();
-      }
+      metrics->cache_columns_read += cache_indexes.size();
     }
 
-    // Value combiner: place each value at its position in the output schema
-    // (Algorithm 2's index-by-name step happened once, at schema build).
-    const size_t rows =
-        raw_indexes.empty() ? cache_batch.num_rows() : raw_batch.num_rows();
-    for (size_t r = 0; r < rows; ++r) {
-      std::vector<storage::Value> row;
-      row.reserve(raw_indexes.size() + cache_indexes.size());
-      for (size_t c = 0; c < raw_indexes.size(); ++c) {
-        row.push_back(raw_batch.column(c).GetValue(r));
-      }
-      for (size_t c = 0; c < cache_indexes.size(); ++c) {
-        row.push_back(cache_batch.column(c).GetValue(r));
-      }
-      out->AppendRow(row);
+    // Value combiner: each decoded column lands in its output slot
+    // (Algorithm 2's index-by-name step happened once, above).
+    for (size_t c = 0; c < raw_slots.size(); ++c) {
+      AppendCells(std::move(raw_batch.column(c)), &out->column(raw_slots[c]));
+    }
+    for (size_t c = 0; c < cache_slots.size(); ++c) {
+      AppendCells(std::move(cache_batch.column(c)),
+                  &out->column(cache_slots[c]));
     }
   }
   return Status::Ok();
 }
 
-/// Degraded-mode scan of one stripe range: the cache file is unusable, so
-/// every requested cache column is re-derived by parsing the raw string
-/// column it was originally extracted from — exactly what the query would
-/// have done with caching disabled, so the rows are byte-identical either
-/// way. Only possible when the spec carries the source column/path of every
-/// cache column (MaxsonParser always fills them).
-Status ScanSplitRawFallback(const ScanSpec& spec,
-                            const std::vector<SargPair>& predicates,
-                            const std::string& path,
-                            std::optional<StripeRange> range,
+/// Degraded-mode scan of one split: the cache file is unusable, so every
+/// requested cache column is re-derived by parsing the raw string column
+/// it was originally extracted from — exactly what the query would have
+/// done with caching disabled, so the rows are byte-identical either way.
+/// Only possible when every cache column's key carries its source column
+/// and path (MaxsonParser always fills them).
+Status ScanSplitRawFallback(const std::vector<exec::ColumnKey>& columns,
+                            const std::vector<exec::ScanPredicate>& predicates,
+                            const std::string& path, bool enable_ondemand,
                             RecordBatch* out, QueryMetrics* metrics) {
   CorcReader primary(path);
   MAXSON_RETURN_NOT_OK(primary.Open());
 
-  std::vector<int> raw_indexes;
-  raw_indexes.reserve(spec.raw_columns.size());
-  for (const std::string& name : spec.raw_columns) {
-    const int idx = primary.schema().FindField(name);
-    if (idx < 0) {
-      return Status::NotFound("column " + name + " missing in " + path);
-    }
-    raw_indexes.push_back(idx);
-  }
-
-  // Resolve each cache column's source column and parse its path.
+  // Resolve raw columns by name, and each cache column's source column and
+  // path, remembering every column's output slot.
   struct SourceWork {
+    size_t slot = 0;  // output column
     int column = -1;  // index in the primary file schema
     bool is_xml = false;
     json::JsonPath json_path;
     xml::XmlPath xml_path;
   };
+  std::vector<int> raw_indexes;
+  std::vector<size_t> raw_slots;
   std::vector<SourceWork> sources;
-  sources.reserve(spec.cache_columns.size());
-  for (const CacheColumnRequest& req : spec.cache_columns) {
+  for (size_t i = 0; i < columns.size(); ++i) {
+    const exec::ColumnKey& key = columns[i];
+    if (!key.is_cache()) {
+      const int idx = primary.schema().FindField(key.name);
+      if (idx < 0) {
+        return Status::NotFound("column " + key.name + " missing in " + path);
+      }
+      raw_indexes.push_back(idx);
+      raw_slots.push_back(i);
+      continue;
+    }
     SourceWork src;
-    src.column = primary.schema().FindField(req.source_column);
+    src.slot = i;
+    src.column = primary.schema().FindField(key.source_column);
     if (src.column < 0) {
-      return Status::NotFound("fallback source column " + req.source_column +
+      return Status::NotFound("fallback source column " + key.source_column +
                               " missing in " + path);
     }
-    src.is_xml = xml::IsXmlPathText(req.source_path);
+    src.is_xml = xml::IsXmlPathText(key.source_path);
     if (src.is_xml) {
       MAXSON_ASSIGN_OR_RETURN(src.xml_path,
-                              xml::XmlPath::Parse(req.source_path));
+                              xml::XmlPath::Parse(key.source_path));
     } else {
       MAXSON_ASSIGN_OR_RETURN(src.json_path,
-                              json::JsonPath::Parse(req.source_path));
+                              json::JsonPath::Parse(key.source_path));
     }
     sources.push_back(std::move(src));
   }
@@ -371,8 +342,8 @@ Status ScanSplitRawFallback(const ScanSpec& spec,
   }
   std::vector<SearchArgument> raw_sargs;
   raw_sargs.reserve(predicates.size());
-  for (const SargPair& p : predicates) {
-    raw_sargs.push_back(ReconcileSargWithSchema(p.first, primary.schema()));
+  for (const exec::ScanPredicate& p : predicates) {
+    raw_sargs.push_back(ReconcileSargWithSchema(p.raw_sarg, primary.schema()));
   }
 
   // Group the JSON-path sources by source column: a selective group
@@ -385,7 +356,7 @@ Status ScanSplitRawFallback(const ScanSpec& spec,
     std::vector<json::JsonPath> paths;
   };
   std::vector<OndemandGroup> ondemand_groups;
-  if (spec.enable_ondemand) {
+  if (enable_ondemand) {
     std::map<int, size_t> group_of;  // file column index -> group index
     for (size_t i = 0; i < sources.size(); ++i) {
       if (sources[i].is_xml) continue;
@@ -405,9 +376,7 @@ Status ScanSplitRawFallback(const ScanSpec& spec,
   }
   json::OndemandParser ondemand;
 
-  const StripeRange stripes =
-      range.value_or(StripeRange{0, primary.num_stripes()});
-  for (size_t s = stripes.begin; s < stripes.end; ++s) {
+  for (size_t s = 0; s < primary.num_stripes(); ++s) {
     std::vector<bool> include;
     for (const SearchArgument& raw_sarg : raw_sargs) {
       MAXSON_ASSIGN_OR_RETURN(std::vector<bool> inc,
@@ -419,14 +388,12 @@ Status ScanSplitRawFallback(const ScanSpec& spec,
     }
     MAXSON_ASSIGN_OR_RETURN(
         RecordBatch batch,
-        primary.ReadStripe(s, read_columns, include,
-                           metrics != nullptr ? &metrics->read : nullptr));
+        primary.ReadStripe(s, read_columns, include, &metrics->read));
     Stopwatch parse_timer;
     for (size_t r = 0; r < batch.num_rows(); ++r) {
-      std::vector<storage::Value> row;
-      row.reserve(raw_indexes.size() + sources.size());
+      std::vector<storage::Value> row(columns.size());
       for (size_t c = 0; c < raw_indexes.size(); ++c) {
-        row.push_back(batch.column(c).GetValue(r));
+        row[raw_slots[c]] = batch.column(c).GetValue(r);
       }
       // On-demand precomputation: one tape pass per record per selective
       // group. Any record-level error falls back to the DOM tier below
@@ -441,16 +408,14 @@ Status ScanSplitRawFallback(const ScanSpec& spec,
         const Status extract_status = ondemand.ExtractAll(text, g.paths,
                                                           &values);
         if (!extract_status.ok()) {
-          if (metrics != nullptr) ++metrics->ondemand_fallbacks;
+          ++metrics->ondemand_fallbacks;
           continue;
         }
-        if (metrics != nullptr) {
-          ++metrics->ondemand_records;
-          metrics->ondemand_skipped_bytes +=
-              ondemand.skipped_bytes() - skipped_before;
-          ++metrics->parse.records_parsed;
-          metrics->parse.bytes_parsed += text.size();
-        }
+        ++metrics->ondemand_records;
+        metrics->ondemand_skipped_bytes +=
+            ondemand.skipped_bytes() - skipped_before;
+        ++metrics->parse.records_parsed;
+        metrics->parse.bytes_parsed += text.size();
         for (size_t k = 0; k < g.source_idx.size(); ++k) {
           const Result<std::string>& v = values[k];
           if (v.ok()) {
@@ -458,7 +423,7 @@ Status ScanSplitRawFallback(const ScanSpec& spec,
           } else if (v.status().code() == StatusCode::kNotFound) {
             // Absent path -> NULL, matching get_json_object below.
             precomputed[g.source_idx[k]] = storage::Value::Null();
-          } else if (metrics != nullptr) {
+          } else {
             ++metrics->ondemand_fallbacks;
           }
         }
@@ -466,200 +431,83 @@ Status ScanSplitRawFallback(const ScanSpec& spec,
       for (size_t i = 0; i < sources.size(); ++i) {
         const SourceWork& src = sources[i];
         if (precomputed[i].has_value()) {
-          row.push_back(std::move(*precomputed[i]));
+          row[src.slot] = std::move(*precomputed[i]);
           continue;
         }
         const size_t slot = slot_of.at(src.column);
         if (batch.column(slot).IsNull(r)) {
-          row.push_back(storage::Value::Null());
+          row[src.slot] = storage::Value::Null();
           continue;
         }
         const std::string& text = batch.column(slot).GetString(r);
         Result<std::string> value =
             src.is_xml ? xml::GetXmlObject(text, src.xml_path)
                        : json::GetJsonObject(text, src.json_path);
-        if (metrics != nullptr) {
-          ++metrics->parse.records_parsed;
-          metrics->parse.bytes_parsed += text.size();
-        }
+        ++metrics->parse.records_parsed;
+        metrics->parse.bytes_parsed += text.size();
         // Absent path -> NULL, matching get_json_object and the cacher.
-        row.push_back(value.ok() ? storage::Value::String(std::move(*value))
-                                 : storage::Value::Null());
+        row[src.slot] = value.ok() ? storage::Value::String(std::move(*value))
+                                   : storage::Value::Null();
       }
       out->AppendRow(row);
     }
-    if (metrics != nullptr) {
-      metrics->parse_seconds += parse_timer.ElapsedSeconds();
-    }
+    metrics->parse_seconds += parse_timer.ElapsedSeconds();
   }
   return Status::Ok();
 }
 
-/// One pass over one stripe range: the cached path first; on cache-side
+/// One pass over one split: the cached path first; on cache-side
 /// corruption, quarantine the cache file and degrade to raw parsing so the
 /// query still returns correct rows. Corruption of the *raw* file is not
 /// recoverable — the fallback reads the same file and surfaces the same
 /// error.
-Status ScanSplit(const ScanSpec& spec,
-                 const std::vector<SargPair>& predicates,
+Status ScanSplit(const std::vector<exec::ColumnKey>& columns,
+                 const std::vector<exec::ScanPredicate>& predicates,
                  const std::string& path, size_t split_index,
-                 std::optional<StripeRange> range, RecordBatch* out,
+                 bool enable_ondemand, RecordBatch* out,
                  QueryMetrics* metrics) {
   Status status =
-      ScanSplitCached(spec, predicates, path, split_index, range, out,
-                      metrics);
-  if (!status.IsCorruption() || spec.cache_columns.empty()) return status;
-  for (const CacheColumnRequest& req : spec.cache_columns) {
-    if (req.source_column.empty() || req.source_path.empty()) return status;
+      ScanSplitCached(columns, predicates, path, split_index, out, metrics);
+  if (!status.IsCorruption()) return status;
+  bool any_cache = false;
+  for (const exec::ColumnKey& key : columns) {
+    if (!key.is_cache()) continue;
+    if (key.source_column.empty() || key.source_path.empty()) return status;
+    any_cache = true;
   }
+  if (!any_cache) return status;
   MAXSON_LOG(Warning) << "cache corruption on split " << split_index << " ("
                       << status.message() << "); re-deriving from raw";
   // Restart the pass from scratch: drop partially combined rows and the
   // failed attempt's accounting so totals stay deterministic.
   *out = RecordBatch(out->schema());
-  if (metrics != nullptr) {
-    *metrics = QueryMetrics();
-    ++metrics->cache_corruption_fallbacks;
-  }
-  return ScanSplitRawFallback(spec, predicates, path, range, out, metrics);
+  *metrics = QueryMetrics();
+  ++metrics->cache_corruption_fallbacks;
+  return ScanSplitRawFallback(columns, predicates, path, enable_ondemand, out,
+                              metrics);
 }
 
-// ---------------------------------------------------------------------------
-// Shared-scan path: column keys, morsel construction, subscription.
-// ---------------------------------------------------------------------------
-
-/// Opaque column keys the scheduler unions and compares. Raw columns key by
-/// physical name (so two plans spelling "o.price" and "price" share one
-/// decode); cache columns key by their full binding including the fallback
-/// source, so a pass can re-derive any subscriber's cache column on
-/// corruption. Output names are per-subscriber and deliberately excluded.
-constexpr char kKeySep = '\x1f';
-
-std::string RawColumnKey(const std::string& name) {
-  std::string key = "r";
-  key.push_back(kKeySep);
-  key.append(name);
-  return key;
-}
-
-std::string CacheColumnKey(const CacheColumnRequest& req) {
-  std::string key = "c";
-  key.push_back(kKeySep);
-  key.append(req.cache_table_dir);
-  key.push_back(kKeySep);
-  key.append(req.cache_field);
-  key.push_back(kKeySep);
-  key.append(req.source_column);
-  key.push_back(kKeySep);
-  key.append(req.source_path);
-  return key;
-}
-
-Result<ScanSpec> SpecFromUnionKeys(const std::vector<std::string>& keys) {
-  ScanSpec spec;
-  for (const std::string& key : keys) {
-    std::vector<std::string> parts;
-    size_t start = 0;
-    for (size_t i = 0; i <= key.size(); ++i) {
-      if (i == key.size() || key[i] == kKeySep) {
-        parts.push_back(key.substr(start, i - start));
-        start = i + 1;
-      }
-    }
-    if (parts.size() == 2 && parts[0] == "r") {
-      spec.raw_columns.push_back(parts[1]);
-    } else if (parts.size() == 5 && parts[0] == "c") {
-      CacheColumnRequest req;
-      req.cache_table_dir = parts[1];
-      req.cache_field = parts[2];
-      req.output_name = parts[2];  // internal to the pass; renamed on fanout
-      req.source_column = parts[3];
-      req.source_path = parts[4];
-      spec.cache_columns.push_back(std::move(req));
-    } else {
-      return Status::Internal("malformed shared-scan column key");
-    }
-  }
-  return spec;
-}
-
-/// Schema of a shared pass's union batch: one column per union key, *named
-/// by the key* (keys are unique; subscribers map their columns by name), in
-/// the pass's layout order — raw columns then cache columns, matching what
-/// ScanSplitCached/RawFallback append. Types mirror ScanOutputSchema (raw
-/// columns by the table schema, cache columns as strings) so per-subscriber
-/// projection moves values without conversion.
-Schema UnionSchema(const ScanSpec& spec, const Schema& table_schema) {
+/// Schema of a pass's union batch: one column per union key, in order.
+/// Types mirror ScanOutputSchema (raw columns by the table schema, cache
+/// columns as strings), so subscribers append whole columns unconverted.
+Schema UnionSchema(const std::vector<exec::ColumnKey>& columns,
+                   const Schema& table_schema) {
   Schema out;
-  for (const std::string& name : spec.raw_columns) {
-    const int idx = table_schema.FindField(name);
-    out.AddField(RawColumnKey(name),
+  for (const exec::ColumnKey& key : columns) {
+    const int idx = key.is_cache() ? -1 : table_schema.FindField(key.name);
+    out.AddField(key.name,
                  idx >= 0 ? table_schema.field(static_cast<size_t>(idx)).type
                           : TypeKind::kString);
-  }
-  for (const CacheColumnRequest& req : spec.cache_columns) {
-    out.AddField(CacheColumnKey(req), TypeKind::kString);
   }
   return out;
 }
 
-/// Chops the table's splits into morsels: stripe ranges of at least
-/// `morsel_rows` rows (0 = one morsel per split). Only the primary files'
-/// footers are consulted — cache-side problems must surface inside the
-/// pass, where the corruption fallback can handle them.
-Result<std::vector<exec::Morsel>> BuildMorsels(
-    const std::vector<Split>& splits, size_t morsel_rows) {
-  std::vector<exec::Morsel> morsels;
-  for (const Split& split : splits) {
-    CorcReader reader(split.path);
-    MAXSON_RETURN_NOT_OK(reader.Open());
-    const size_t num_stripes = reader.num_stripes();
-    uint64_t row_offset = 0;
-    size_t begin = 0;
-    uint64_t rows_in_morsel = 0;
-    uint64_t begin_row = 0;
-    for (size_t s = 0; s < num_stripes; ++s) {
-      rows_in_morsel +=
-          static_cast<uint64_t>(reader.footer().stripes[s].num_rows);
-      row_offset += static_cast<uint64_t>(reader.footer().stripes[s].num_rows);
-      const bool last = s + 1 == num_stripes;
-      if (!last && (morsel_rows == 0 || rows_in_morsel < morsel_rows)) {
-        continue;
-      }
-      exec::Morsel m;
-      m.split_index = split.index;
-      m.split_path = split.path;
-      m.begin_stripe = begin;
-      m.end_stripe = s + 1;
-      m.begin_row = begin_row;
-      m.end_row = row_offset;
-      morsels.push_back(std::move(m));
-      begin = s + 1;
-      begin_row = row_offset;
-      rows_in_morsel = 0;
-    }
-    if (num_stripes == 0) {
-      // Keep one (empty) morsel so every split is represented and morsel
-      // counts stay stable across sharing modes.
-      exec::Morsel m;
-      m.split_index = split.index;
-      m.split_path = split.path;
-      morsels.push_back(std::move(m));
-    }
-  }
-  return morsels;
-}
+}  // namespace
 
-/// Scan through the SharedScanManager: subscribe interest, run/ride the
-/// coalesced passes, then project each union batch down to this scan's
-/// columns in morsel order — byte-identical rows to the private path.
-Result<RecordBatch> ExecuteSharedScan(const ScanNode& scan,
-                                      QueryMetrics* metrics,
-                                      exec::SharedScanManager& manager,
-                                      const ExecContext& ctx) {
+Result<RecordBatch> ExecuteScan(const ScanNode& scan, QueryMetrics* metrics,
+                                const ExecContext& ctx,
+                                exec::SharedScanManager& manager) {
   Stopwatch timer;
-  const Schema out_schema = ScanOutputSchema(scan);
-
   MAXSON_ASSIGN_OR_RETURN(std::vector<Split> splits,
                           FileSystem::ListSplits(scan.table_dir));
   if (splits.empty()) {
@@ -670,47 +518,44 @@ Result<RecordBatch> ExecuteSharedScan(const ScanNode& scan,
   interest.table_key = scan.table_dir;
   interest.validity = ctx.scan_validity;
   for (const std::string& name : scan.columns) {
-    interest.columns.push_back(RawColumnKey(name));
+    interest.columns.emplace_back().name = name;  // a raw column: its name
   }
   for (const CacheColumnRequest& req : scan.cache_columns) {
-    interest.columns.push_back(CacheColumnKey(req));
+    interest.columns.push_back(
+        exec::ColumnKey{.name = req.cache_field,
+                        .cache_dir = req.cache_table_dir,
+                        .source_column = req.source_column,
+                        .source_path = req.source_path});
   }
   interest.predicate.raw_sarg = scan.raw_sarg;
   interest.predicate.cache_sarg = scan.cache_sarg;
   interest.predicate.key =
       exec::ScanPredicate::KeyFor(scan.raw_sarg, scan.cache_sarg);
-  MAXSON_ASSIGN_OR_RETURN(interest.morsels,
-                          BuildMorsels(splits, ctx.morsel_rows));
+  interest.morsels = std::move(splits);  // one morsel per split
 
   // Per-morsel accumulators for passes this query executes itself; merged
-  // below in morsel order. Passes another query executed land in *its*
-  // accumulators — per-query metrics under sharing reflect who did the
-  // work, while the deterministic result rows are identical regardless.
-  std::vector<QueryMetrics> morsel_metrics(interest.morsels.size());
-  std::vector<double> morsel_seconds(interest.morsels.size(), 0.0);
+  // below in morsel order, so a query running alone counts exactly what a
+  // sequential scan would. A pass another query executed lands in *its*
+  // accumulators: under concurrency, per-query metrics reflect who did the
+  // work, while the result rows are identical regardless.
+  const size_t num_splits = interest.morsels.size();
+  std::vector<QueryMetrics> morsel_metrics(num_splits);
+  std::vector<double> morsel_seconds(num_splits, 0.0);
   const auto pass_fn =
       [&](const exec::Morsel& morsel, size_t ordinal,
-          const std::vector<std::string>& union_columns,
+          const std::vector<exec::ColumnKey>& union_columns,
           const std::vector<exec::ScanPredicate>& predicates)
       -> Result<exec::SharedPassOutput> {
     Stopwatch pass_timer;
-    MAXSON_ASSIGN_OR_RETURN(ScanSpec spec, SpecFromUnionKeys(union_columns));
-    spec.enable_ondemand = ctx.enable_ondemand;
-    std::vector<SargPair> pairs;
-    pairs.reserve(predicates.size());
-    for (const exec::ScanPredicate& p : predicates) {
-      pairs.emplace_back(p.raw_sarg, p.cache_sarg);
-    }
-    RecordBatch batch(UnionSchema(spec, scan.table_schema));
+    RecordBatch batch(UnionSchema(union_columns, scan.table_schema));
     QueryMetrics* slot = &morsel_metrics[ordinal];
-    MAXSON_RETURN_NOT_OK(ScanSplit(
-        spec, pairs, morsel.split_path, morsel.split_index,
-        StripeRange{morsel.begin_stripe, morsel.end_stripe}, &batch, slot));
+    MAXSON_RETURN_NOT_OK(ScanSplit(union_columns, predicates, morsel.path,
+                                   morsel.index, ctx.enable_ondemand, &batch,
+                                   slot));
     morsel_seconds[ordinal] = pass_timer.ElapsedSeconds();
     exec::SharedPassOutput output;
     output.batch = std::move(batch);
-    output.input_bytes =
-        slot->read.bytes_read + slot->parse.bytes_parsed;
+    output.input_bytes = slot->read.bytes_read + slot->parse.bytes_parsed;
     return output;
   };
 
@@ -718,93 +563,27 @@ Result<RecordBatch> ExecuteSharedScan(const ScanNode& scan,
       manager.Subscribe(interest, pass_fn);
   MAXSON_RETURN_NOT_OK(sub->Collect(ctx.pool, ctx.cancel));
 
-  RecordBatch out(out_schema);
+  RecordBatch out(ScanOutputSchema(scan));
   for (size_t i = 0; i < sub->num_morsels(); ++i) {
-    const RecordBatch& batch = sub->batch(i);
-    const std::vector<size_t> mapping = sub->ColumnMapping(i);
-    for (size_t r = 0; r < batch.num_rows(); ++r) {
-      std::vector<storage::Value> row;
-      row.reserve(mapping.size());
-      for (const size_t c : mapping) {
-        row.push_back(batch.column(c).GetValue(r));
-      }
-      out.AppendRow(row);
+    std::vector<storage::ColumnVector> columns = sub->Take(i);
+    for (size_t c = 0; c < columns.size(); ++c) {
+      out.column(c).AppendColumn(std::move(columns[c]));
     }
     if (metrics != nullptr && sub->executed_by_self(i)) {
       metrics->Accumulate(morsel_metrics[i]);
     }
-    sub->Release(i);
   }
 
-  if (metrics != nullptr) {
-    metrics->read_seconds += timer.ElapsedSeconds();
-    OperatorStats op;
-    op.name = "Scan";
-    op.detail = scan.table_dir + " (shared)";
-    op.rows_out = out.num_rows();
-    op.units = interest.morsels.size();
-    op.cache_columns = scan.cache_columns.size();
-    op.wall_seconds = timer.ElapsedSeconds();
-    for (double s : morsel_seconds) op.cpu_seconds += s;
-    metrics->operators.push_back(std::move(op));
-  }
-  return out;
-}
-
-}  // namespace
-
-Result<RecordBatch> ExecuteScan(const ScanNode& scan, QueryMetrics* metrics,
-                                const ExecContext& ctx) {
-  if (ctx.shared_scan != nullptr) {
-    return ExecuteSharedScan(scan, metrics, *ctx.shared_scan, ctx);
-  }
-
-  Stopwatch timer;
-  const Schema out_schema = ScanOutputSchema(scan);
-  RecordBatch out(out_schema);
-
-  MAXSON_ASSIGN_OR_RETURN(std::vector<Split> splits,
-                          FileSystem::ListSplits(scan.table_dir));
-  if (splits.empty()) {
-    return Status::NotFound("no part files under " + scan.table_dir);
-  }
-  ScanSpec spec = SpecFromScan(scan);
-  spec.enable_ondemand = ctx.enable_ondemand;
-  const std::vector<SargPair> predicates = {
-      SargPair{scan.raw_sarg, scan.cache_sarg}};
-  // One task per split, each running the full value-combiner pipeline into
-  // a private buffer with a private metrics accumulator; the merge below
-  // happens in split order, so row order and counter totals match
-  // sequential execution exactly.
-  std::vector<RecordBatch> buffers(splits.size());
-  std::vector<QueryMetrics> split_metrics(splits.size());
-  std::vector<double> split_seconds(splits.size(), 0.0);
-  MAXSON_RETURN_NOT_OK(exec::ParallelFor(
-      ctx.pool, splits.size(), [&](size_t i) -> Status {
-        if (ctx.cancelled()) return Status::Cancelled("query cancelled");
-        Stopwatch split_timer;
-        buffers[i] = RecordBatch(out_schema);
-        Status status =
-            ScanSplit(spec, predicates, splits[i].path, splits[i].index,
-                      std::nullopt, &buffers[i],
-                      metrics != nullptr ? &split_metrics[i] : nullptr);
-        split_seconds[i] = split_timer.ElapsedSeconds();
-        return status;
-      }));
-  for (size_t i = 0; i < buffers.size(); ++i) {
-    if (metrics != nullptr) metrics->Accumulate(split_metrics[i]);
-    out.AppendBatch(std::move(buffers[i]));
-  }
   if (metrics != nullptr) {
     metrics->read_seconds += timer.ElapsedSeconds();
     OperatorStats op;
     op.name = "Scan";
     op.detail = scan.table_dir;
     op.rows_out = out.num_rows();
-    op.units = splits.size();
+    op.units = num_splits;
     op.cache_columns = scan.cache_columns.size();
     op.wall_seconds = timer.ElapsedSeconds();
-    for (double s : split_seconds) op.cpu_seconds += s;
+    for (double s : morsel_seconds) op.cpu_seconds += s;
     metrics->operators.push_back(std::move(op));
   }
   return out;

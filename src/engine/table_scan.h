@@ -6,6 +6,10 @@
 #include "engine/plan.h"
 #include "storage/record_batch.h"
 
+namespace maxson::exec {
+class SharedScanManager;
+}  // namespace maxson::exec
+
 namespace maxson::engine {
 
 /// Executes one ScanNode: enumerates the table's splits (one file = one
@@ -17,29 +21,24 @@ namespace maxson::engine {
 /// condition), the CacheReader's row-group exclusions are shared with the
 /// PrimaryReader so both skip the same groups (Algorithm 3).
 ///
-/// Two execution paths, selected by `ctx`:
-///
-///  - Private (ctx.shared_scan == nullptr): one task per split on ctx.pool
-///    (the paper's unit of parallelism; null pool = sequential), each into
-///    a private buffer with private metrics; buffers and counters merge in
-///    split order, so the output is byte-identical at every parallelism
-///    degree.
-///
-///  - Shared (ctx.shared_scan set): the scan subscribes its (table, split,
-///    columns, SARGs) interest to the SharedScanManager and morsels are
-///    parsed once per concurrent subscriber group — see exec/shared_scan.h
-///    and DESIGN.md ("Morsel-driven shared scans"). Rows are assembled in
-///    morsel (split/stripe) order, so results are byte-identical to the
-///    private path; per-query *metrics* attribute a pass to whichever
-///    query executed it, so under concurrency they are a scheduling
-///    property, unlike the deterministic private path.
+/// Every scan is a subscription to `manager` with one morsel per split:
+/// the scan declares its (table, columns, SARGs) interest, and each split
+/// is parsed once per group of concurrent subscribers — see
+/// exec/shared_scan.h and DESIGN.md ("Morsel-driven shared scans"). The
+/// passes fan across ctx.pool (null pool = sequential) and rows are
+/// assembled in split order, so the output is byte-identical at every
+/// parallelism degree and with any number of co-subscribers. A scan
+/// running alone executes every pass itself and counts exactly what a
+/// sequential scan would; under concurrency a pass's metrics go to
+/// whichever query executed it.
 ///
 /// Returns the concatenated scan output (raw columns, qualified when the
 /// scan has a qualifier, followed by cache columns). Metrics accumulate
 /// read time, bytes, and shared-skip counts into `metrics`.
 Result<storage::RecordBatch> ExecuteScan(const ScanNode& scan,
                                          QueryMetrics* metrics,
-                                         const ExecContext& ctx);
+                                         const ExecContext& ctx,
+                                         exec::SharedScanManager& manager);
 
 }  // namespace maxson::engine
 

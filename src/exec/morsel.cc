@@ -10,11 +10,6 @@ using storage::SargLeaf;
 using storage::SearchArgument;
 using storage::Value;
 
-std::string Morsel::Id() const {
-  return std::to_string(split_index) + ":" + std::to_string(begin_stripe) +
-         "-" + std::to_string(end_stripe);
-}
-
 namespace {
 
 /// Unit-separator framing: SARG columns and literals are free-form text, so
@@ -57,15 +52,15 @@ std::string ScanPredicate::KeyFor(const SearchArgument& raw,
 }
 
 MorselScheduler::Registration MorselScheduler::Register(
-    const Morsel& morsel, const std::vector<std::string>& columns,
+    const Morsel& morsel, const std::vector<ColumnKey>& columns,
     const ScanPredicate& predicate) {
   MutexLock lock(mutex_);
-  std::vector<std::shared_ptr<MorselTask>>& list = tasks_[morsel.Id()];
+  std::vector<std::shared_ptr<MorselTask>>& list = tasks_[morsel.index];
   for (const std::shared_ptr<MorselTask>& task : list) {
     if (task->state == MorselTask::State::kPending) {
       // Unclaimed: merge freely. Column union keeps first-seen order;
       // predicates dedupe by key and widen the pruning disjunction.
-      for (const std::string& col : columns) {
+      for (const ColumnKey& col : columns) {
         if (std::find(task->union_columns.begin(), task->union_columns.end(),
                       col) == task->union_columns.end()) {
           task->union_columns.push_back(col);
@@ -86,7 +81,7 @@ MorselScheduler::Registration MorselScheduler::Register(
       continue;  // do not ride a failed pass; a fresh one surfaces its own
     }
     const bool columns_covered = std::all_of(
-        columns.begin(), columns.end(), [&](const std::string& col) {
+        columns.begin(), columns.end(), [&](const ColumnKey& col) {
           return std::find(task->union_columns.begin(),
                            task->union_columns.end(),
                            col) != task->union_columns.end();
@@ -163,14 +158,16 @@ void MorselScheduler::WaitDone(
   }
 }
 
-void MorselScheduler::Consume(const std::shared_ptr<MorselTask>& task) {
+std::optional<SharedPassOutput> MorselScheduler::Consume(
+    const std::shared_ptr<MorselTask>& task, bool only_if_last) {
   MutexLock lock(mutex_);
+  const bool last = task->state == MorselTask::State::kDone &&
+                    !task->retired && task->consumed + 1 >= task->registered;
+  if (only_if_last && !last) return std::nullopt;
   ++task->consumed;
-  if (task->state == MorselTask::State::kDone &&
-      task->consumed >= task->registered && !task->retired) {
-    task->retired = true;
-    task->output = SharedPassOutput{};  // free the decoded rows
-  }
+  if (!last) return std::nullopt;
+  task->retired = true;
+  return std::exchange(task->output, SharedPassOutput{});
 }
 
 }  // namespace maxson::exec

@@ -7,32 +7,35 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
 #include "common/thread_annotations.h"
+#include "storage/file_system.h"
 #include "storage/record_batch.h"
 #include "storage/sarg.h"
 
 namespace maxson::exec {
 
-/// The scheduler's unit of scan work: a contiguous stripe range of one
-/// split. The executor above (engine/table_scan.cc) decides the granularity
-/// — one morsel per split by default, finer when a morsel-row target is set
-/// — and the scheduler only ever treats a morsel as an opaque, claimable
-/// unit. Row bounds are informational (absolute over the split's file).
-struct Morsel {
-  size_t split_index = 0;
-  std::string split_path;
-  size_t begin_stripe = 0;  // [begin_stripe, end_stripe)
-  size_t end_stripe = 0;
-  uint64_t begin_row = 0;  // [begin_row, end_row)
-  uint64_t end_row = 0;
+/// The scheduler's unit of scan work: one split (the paper's one file =
+/// one split), an opaque claimable unit keyed by its index.
+using Morsel = storage::Split;
 
-  /// Identity key for coalescing: two subscriptions share a parse pass only
-  /// when they ask for the exact same stripe range of the same split.
-  std::string Id() const;
+/// Identity of one decodable column, compared field by field: a raw column
+/// by its name; a cache column by its cache directory, field, and the
+/// source column and path a pass re-derives it from on cache corruption.
+/// Output names are per-subscriber and excluded, so plans spelling one
+/// physical column differently share its decode.
+struct ColumnKey {
+  std::string name;       // raw column name, or the cache field
+  std::string cache_dir;  // empty for a raw column
+  std::string source_column;
+  std::string source_path;
+
+  bool is_cache() const { return !cache_dir.empty(); }
+  bool operator==(const ColumnKey&) const = default;
 };
 
 /// One subscriber's pushed-down pruning predicates for a morsel, plus a
@@ -55,10 +58,10 @@ struct ScanPredicate {
                             const storage::SearchArgument& cache);
 };
 
-/// What one executed parse pass produced: the decoded rows of the morsel
-/// with the task's *union* columns (in `MorselTask::union_columns` order),
-/// plus the input bytes consumed to produce them (CORC bytes read + raw
-/// bytes parsed) — the work a coalesced subscriber avoided repeating.
+/// What one executed parse pass produced: the decoded rows of the morsel,
+/// one column per `MorselTask::union_columns` entry in that order, plus
+/// the input bytes consumed to produce them (CORC bytes read + raw bytes
+/// parsed) — the work a coalesced subscriber avoided repeating.
 struct SharedPassOutput {
   storage::RecordBatch batch;
   uint64_t input_bytes = 0;
@@ -75,10 +78,9 @@ struct MorselTask {
 
   const Morsel morsel;
   State state = State::kPending;
-  /// Union of every registered subscriber's columns (opaque keys chosen by
-  /// the executor layer), first-seen order, deduplicated. Frozen once the
-  /// task is claimed.
-  std::vector<std::string> union_columns;
+  /// Union of every registered subscriber's columns, first-seen order,
+  /// deduplicated. Frozen once the task is claimed.
+  std::vector<ColumnKey> union_columns;
   /// Deduplicated (by key) predicates of the registered subscribers; the
   /// pass prunes row groups with their disjunction.
   std::vector<ScanPredicate> predicates;
@@ -86,7 +88,7 @@ struct MorselTask {
   /// every row group, so any same-columns subscriber may attach safely.
   bool reads_all_groups = false;
   size_t registered = 1;  // subscriptions riding this pass
-  size_t consumed = 0;    // subscriptions that took their projection
+  size_t consumed = 0;    // subscriptions that took their columns
   /// Output released (every registered subscriber consumed it); late
   /// arrivals start a fresh pass instead of attaching.
   bool retired = false;
@@ -130,7 +132,7 @@ class MorselScheduler {
   /// because a claimed task's inputs are frozen. Otherwise a fresh task is
   /// created.
   Registration Register(const Morsel& morsel,
-                        const std::vector<std::string>& columns,
+                        const std::vector<ColumnKey>& columns,
                         const ScanPredicate& predicate)
       MAXSON_EXCLUDES(mutex_);
 
@@ -139,7 +141,7 @@ class MorselScheduler {
     size_t ordinal = 0;                // index into the claimant's `tasks`
     /// Inputs frozen at claim time, copied out so the pass runs without
     /// the scheduler lock.
-    std::vector<std::string> union_columns;
+    std::vector<ColumnKey> union_columns;
     std::vector<ScanPredicate> predicates;
   };
 
@@ -161,21 +163,24 @@ class MorselScheduler {
   void WaitDone(const std::vector<std::shared_ptr<MorselTask>>& tasks,
                 const std::function<bool()>& give_up) MAXSON_EXCLUDES(mutex_);
 
-  /// Records that one registered subscriber consumed `task`'s output;
-  /// the last consumer of a completed task releases the decoded rows.
-  void Consume(const std::shared_ptr<MorselTask>& task)
+  /// Records that one registered subscriber consumed `task`'s output; the
+  /// last consumer of a completed task retires it and receives the output.
+  /// With `only_if_last`, a caller that is not the last changes nothing and
+  /// gets nullopt (it copies what it needs, then consumes).
+  std::optional<SharedPassOutput> Consume(
+      const std::shared_ptr<MorselTask>& task, bool only_if_last = false)
       MAXSON_EXCLUDES(mutex_);
 
  private:
   Mutex mutex_;
   std::condition_variable cv_;
-  /// Tasks by Morsel::Id in creation order: front-most compatible task
+  /// Tasks by split index in creation order: front-most compatible task
   /// wins a registration, so concurrent identical subscribers converge on
   /// one pass instead of fanning out over stale retired entries. The
   /// MorselTask objects the lists point to are guarded by mutex_ too (see
   /// the MorselTask comment) — pt_guarded_by cannot reach through the
   /// nested containers, so that half of the contract stays prose.
-  std::map<std::string, std::vector<std::shared_ptr<MorselTask>>> tasks_
+  std::map<size_t, std::vector<std::shared_ptr<MorselTask>>> tasks_
       MAXSON_GUARDED_BY(mutex_);
 };
 

@@ -1,6 +1,8 @@
 #include "exec/shared_scan.h"
 
 #include <algorithm>
+#include <optional>
+#include <utility>
 
 #include "obs/metric_names.h"
 #include "obs/metrics_registry.h"
@@ -12,7 +14,7 @@ ScanSubscription::~ScanSubscription() {
   // completed shared pass is not pinned by a subscriber that will never
   // read it (cancellation, an error on an earlier morsel).
   for (size_t i = 0; i < tasks_.size(); ++i) {
-    if (consumed_[i] == 0) scheduler_->Consume(tasks_[i]);
+    if (consumed_[i] == 0) (void)scheduler_->Consume(tasks_[i]);
   }
   manager_->Unsubscribe(group_key_);
 }
@@ -44,21 +46,14 @@ Status ScanSubscription::RunClaims(const std::atomic<bool>* cancel) {
 
 Status ScanSubscription::Collect(ThreadPool* pool,
                                  const std::atomic<bool>* cancel) {
-  // Fan claim loops across the pool. Helpers claim-until-drained and exit
-  // — they never wait — so pool workers cannot deadlock even when every
-  // worker is inside some subscription's claim loop.
-  if (pool != nullptr && pool->num_threads() > 1 && tasks_.size() > 1) {
-    TaskGroup helpers(pool);
-    const size_t fan =
-        std::min(pool->num_threads() - 1, tasks_.size() - 1);
-    for (size_t i = 0; i < fan; ++i) {
-      helpers.Spawn([this, cancel] { return RunClaims(cancel); });
-    }
-    MAXSON_RETURN_NOT_OK(RunClaims(cancel));
-    MAXSON_RETURN_NOT_OK(helpers.Wait());
-  } else {
-    MAXSON_RETURN_NOT_OK(RunClaims(cancel));
-  }
+  // Fan claim loops across the pool, the calling thread included. Loops
+  // claim until drained and exit — they never wait — so pool workers
+  // cannot deadlock even when every worker is inside some subscription's
+  // claim loop.
+  const size_t loops =
+      pool == nullptr ? 1 : std::min(pool->num_threads(), tasks_.size());
+  MAXSON_RETURN_NOT_OK(ParallelFor(
+      pool, loops, [this, cancel](size_t) { return RunClaims(cancel); }));
   // Morsels claimed by other subscriptions finish on their threads; only
   // this (calling) thread parks for them.
   scheduler_->WaitDone(tasks_, [this, cancel] { return ShouldStop(cancel); });
@@ -71,23 +66,31 @@ Status ScanSubscription::Collect(ThreadPool* pool,
   return Status::Ok();
 }
 
-std::vector<size_t> ScanSubscription::ColumnMapping(size_t ordinal) const {
-  // Resolved against the batch's schema (columns are named by their keys)
-  // rather than the union list: a pass may lay the union out in its own
-  // order, e.g. raw columns before cache columns.
-  const storage::Schema& schema = tasks_[ordinal]->output.batch.schema();
-  std::vector<size_t> mapping;
-  mapping.reserve(columns_.size());
-  for (const std::string& col : columns_) {
-    mapping.push_back(static_cast<size_t>(schema.FindField(col)));
-  }
-  return mapping;
-}
-
-void ScanSubscription::Release(size_t ordinal) {
-  if (consumed_[ordinal] != 0) return;
+std::vector<storage::ColumnVector> ScanSubscription::Take(size_t ordinal) {
+  // Until this subscription consumes the morsel no other consumer can be
+  // the last one, so copying from the shared batch races with no move.
+  std::optional<SharedPassOutput> owned =
+      scheduler_->Consume(tasks_[ordinal], /*only_if_last=*/true);
   consumed_[ordinal] = 1;
-  scheduler_->Consume(tasks_[ordinal]);
+  storage::RecordBatch& batch =
+      owned.has_value() ? owned->batch : tasks_[ordinal]->output.batch;
+  // The union is frozen once the pass was claimed, so positions are stable.
+  const std::vector<ColumnKey>& union_columns = tasks_[ordinal]->union_columns;
+  std::vector<storage::ColumnVector> columns;
+  for (auto key = columns_.begin(); key != columns_.end(); ++key) {
+    storage::ColumnVector& column = batch.column(static_cast<size_t>(
+        std::find(union_columns.begin(), union_columns.end(), *key) -
+        union_columns.begin()));
+    // The owner moves each column at its last request and copies before.
+    if (owned.has_value() &&
+        std::find(key + 1, columns_.end(), *key) == columns_.end()) {
+      columns.push_back(std::move(column));
+    } else {
+      columns.push_back(column);
+    }
+  }
+  if (!owned.has_value()) (void)scheduler_->Consume(tasks_[ordinal]);
+  return columns;
 }
 
 std::unique_ptr<ScanSubscription> SharedScanManager::Subscribe(

@@ -25,11 +25,9 @@ namespace maxson::exec {
 
 /// A query-side scan's declaration of interest: which table (at which
 /// cache-validity stamp), which morsels, which columns, and which pruning
-/// predicates. Column names are opaque keys chosen by the executor layer
-/// above — the scheduler only unions and compares them — so anything that
-/// identifies a decodable column (raw name, cache binding, …) works, and
-/// two queries naming the same physical column share it regardless of how
-/// their plans spell it.
+/// predicates. Columns are ColumnKeys the scheduler only unions and
+/// compares, so two queries naming the same physical column share it
+/// regardless of how their plans spell it.
 struct ScanInterest {
   /// Identity of the scanned table (e.g. its directory). Subscriptions
   /// share passes only within one (table_key, validity) group.
@@ -38,7 +36,7 @@ struct ScanInterest {
   /// invalidation moves new queries to a fresh group, so passes executed
   /// against the old cache state are never fanned out across the change.
   uint64_t validity = 0;
-  std::vector<std::string> columns;  // this subscriber's keys, output order
+  std::vector<ColumnKey> columns;  // this subscriber's columns, output order
   ScanPredicate predicate;
   std::vector<Morsel> morsels;  // assembly order of the subscriber's output
 };
@@ -47,8 +45,8 @@ struct ScanInterest {
 /// pruning row groups with the predicate disjunction. `ordinal` is the
 /// position of the morsel in the *executing subscriber's* interest, so the
 /// callback can attribute pass metrics to a per-morsel slot. The batch must
-/// carry one column per `union_columns` entry, each *named* by its key (any
-/// column order — subscribers map their columns by name).
+/// carry one column per `union_columns` entry, in that order: subscribers
+/// map their columns by position.
 ///
 /// The callback is supplied per subscription and only ever invoked for
 /// tasks that subscription claimed, on its calling thread or its pool
@@ -56,7 +54,7 @@ struct ScanInterest {
 /// reference is safe.
 using SharedScanPassFn = std::function<Result<SharedPassOutput>(
     const Morsel& morsel, size_t ordinal,
-    const std::vector<std::string>& union_columns,
+    const std::vector<ColumnKey>& union_columns,
     const std::vector<ScanPredicate>& predicates)>;
 
 /// Monitoring totals of a SharedScanManager (also published to the obs
@@ -72,7 +70,7 @@ struct SharedScanStats {
 class SharedScanManager;
 
 /// One query's handle on a shared scan: created by
-/// SharedScanManager::Subscribe, driven by Collect, consumed morsel by
+/// SharedScanManager::Subscribe, driven by Collect, taken morsel by
 /// morsel, closed by destruction. See DESIGN.md ("Morsel-driven shared
 /// scans") for the lifecycle.
 class ScanSubscription {
@@ -93,29 +91,18 @@ class ScanSubscription {
   void Cancel() { cancelled_.store(true, std::memory_order_relaxed); }
 
   size_t num_morsels() const { return tasks_.size(); }
-  const Morsel& morsel(size_t ordinal) const {
-    return tasks_[ordinal]->morsel;
-  }
 
-  /// The union-column batch of morsel `ordinal`; valid after a successful
-  /// Collect and until Release(ordinal).
-  const storage::RecordBatch& batch(size_t ordinal) const {
-    return tasks_[ordinal]->output.batch;
-  }
-
-  /// Indexes of this subscription's columns (interest order) within
-  /// batch(ordinal)'s columns.
-  std::vector<size_t> ColumnMapping(size_t ordinal) const;
+  /// This subscription's columns of morsel `ordinal`, in interest order;
+  /// call at most once per morsel, after a successful Collect. Consumes
+  /// the morsel: the last registered consumer of a pass moves the decoded
+  /// columns out, earlier ones copy theirs.
+  std::vector<storage::ColumnVector> Take(size_t ordinal);
 
   /// True when this subscription executed the pass itself (its pass
   /// callback ran, so its per-morsel metrics slot is populated).
   bool executed_by_self(size_t ordinal) const {
     return self_executed_[ordinal] != 0;
   }
-
-  /// Releases morsel `ordinal`'s shared output; the last registered
-  /// consumer frees the decoded rows.
-  void Release(size_t ordinal);
 
  private:
   friend class SharedScanManager;
@@ -133,7 +120,7 @@ class ScanSubscription {
   SharedScanManager* manager_ = nullptr;
   std::shared_ptr<MorselScheduler> scheduler_;
   std::pair<std::string, uint64_t> group_key_;
-  std::vector<std::string> columns_;
+  std::vector<ColumnKey> columns_;
   SharedScanPassFn pass_fn_;
   std::vector<std::shared_ptr<MorselTask>> tasks_;  // morsel order
   std::vector<char> self_executed_;  // char, not bool: set concurrently

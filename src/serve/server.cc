@@ -19,15 +19,7 @@ MaxsonServer::MaxsonServer(core::MaxsonSession* session,
       options_(options),
       admission_(options.default_limits),
       result_cache_(options.result_cache),
-      result_cache_enabled_(options.enable_result_cache) {
-  // The serving layer is the concurrent-identical-scan workload shared
-  // scans target, so the server decides the session-wide sharing default.
-  // Routed through UpdateConfig like every other session mutation.
-  core::SessionUpdate update;
-  update.shared_scan = options_.enable_shared_scan;
-  // A bool toggle cannot fail validation; the cast documents that.
-  (void)session_->UpdateConfig(update);
-}
+      result_cache_enabled_(options.enable_result_cache) {}
 
 ClientSession MaxsonServer::Connect(const std::string& tenant) {
   return ClientSession(this, tenant);

@@ -22,13 +22,6 @@ struct ServeOptions {
   TenantLimits default_limits;
   bool enable_result_cache = true;
   ResultCacheConfig result_cache;
-  /// Route the session's scans through the shared-scan manager so
-  /// concurrent tenants querying one table coalesce into one parse pass
-  /// per morsel (see exec/shared_scan.h). On by default here — the serving
-  /// layer is exactly the concurrent-identical-scan workload sharing
-  /// targets — and applied to the session at construction; flip off for
-  /// strictly private per-query scans.
-  bool enable_shared_scan = true;
   /// Executions that fail with kIoError are retried this many times: a
   /// midnight recache can unlink a cache part file between plan and read,
   /// and the registry contract is "re-plan against the new state".
@@ -135,10 +128,10 @@ class MaxsonServer {
 };
 
 /// Registers the serving-layer knobs on `registry`: resultcache,
-/// sharedscan (server-level toggle, applied to the session), maxinflight,
-/// and maxqueue. Admission limits apply to `tenant` and are read-modify-
-/// written through `limits`, which the caller owns (so its display of the
-/// current limits stays in sync). All pointees must outlive the registry.
+/// maxinflight, and maxqueue. Admission limits apply to `tenant` and are
+/// read-modify-written through `limits`, which the caller owns (so its
+/// display of the current limits stays in sync). All pointees must outlive
+/// the registry.
 void RegisterServeOptions(OptionRegistry* registry, MaxsonServer* server,
                           const std::string& tenant, TenantLimits* limits);
 

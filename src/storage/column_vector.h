@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
@@ -51,9 +52,14 @@ class ColumnVector {
   void AppendValue(const Value& v);
 
   /// Moves every cell of `other` (same type) onto the end of this column;
-  /// `other` is left empty. Bulk path for merging per-split scan buffers.
+  /// `other` is left empty. Bulk path for merging per-split scan buffers;
+  /// an empty column adopts `other`'s storage without copying.
   void AppendColumn(ColumnVector&& other) {
     MAXSON_CHECK(type_ == other.type_);
+    if (nulls_.empty()) {
+      std::swap(*this, other);
+      return;
+    }
     nulls_.insert(nulls_.end(), other.nulls_.begin(), other.nulls_.end());
     bools_.insert(bools_.end(), other.bools_.begin(), other.bools_.end());
     ints_.insert(ints_.end(), other.ints_.begin(), other.ints_.end());

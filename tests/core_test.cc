@@ -1,4 +1,6 @@
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <optional>
 #include <set>
 #include <string>
@@ -395,6 +397,41 @@ TEST_F(MaxsonEndToEndTest, CacherWritesAlignedCacheTables) {
   EXPECT_EQ(reader.num_rows(), 1000u);
   EXPECT_EQ(reader.footer().rows_per_group, 200u);
   EXPECT_EQ(reader.schema().num_fields(), 2u);
+}
+
+TEST_F(MaxsonEndToEndTest, CacheFilesDoNotDependOnSelectionOrder) {
+  // Selections arrive in score order, which varies from run to run; the
+  // same paths handed over in two orders must write byte-identical files.
+  const std::vector<std::string> paths = {"$.f3", "$.f1", "$.f2"};
+  std::vector<std::string> dirs;
+  for (const bool reversed : {false, true}) {
+    std::vector<ScoredMpjp> selected(paths.size());
+    for (size_t i = 0; i < paths.size(); ++i) {
+      selected[i].candidate.location =
+          Loc("sales", paths[reversed ? paths.size() - 1 - i : i]);
+    }
+    const std::string cache_root =
+        root_ + (reversed ? "/cache_reversed" : "/cache_forward");
+    CacheRegistry registry;
+    JsonPathCacher cacher(&catalog_, cache_root);
+    ASSERT_TRUE(cacher.RepopulateCache(selected, 1, &registry).ok());
+    dirs.push_back(CacheTableDir(cache_root, "mydb", "sales"));
+  }
+  const auto read_file = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  auto forward = FileSystem::ListSplits(dirs[0]);
+  auto reversed = FileSystem::ListSplits(dirs[1]);
+  ASSERT_TRUE(forward.ok() && reversed.ok());
+  ASSERT_EQ(forward->size(), 3u);
+  ASSERT_EQ(reversed->size(), forward->size());
+  for (size_t i = 0; i < forward->size(); ++i) {
+    const std::string bytes = read_file((*forward)[i].path);
+    EXPECT_FALSE(bytes.empty());
+    EXPECT_TRUE(bytes == read_file((*reversed)[i].path))
+        << "cache part file " << i << " differs between selection orders";
+  }
 }
 
 TEST_F(MaxsonEndToEndTest, CachedQueryMatchesUncachedResults) {

@@ -4,24 +4,26 @@
 // pass callback, staging subscriptions *before* any Collect so the
 // coalescing counts are exact and deterministic: K subscribers over M
 // morsels must execute M passes and coalesce (K-1)*M registrations, with
-// byte-identical batches fanned out to every subscriber. They also pin the
+// byte-identical columns fanned out to every subscriber. They also pin the
 // attach-safety rules (frozen column unions, predicate-identity gating,
 // retired passes never rejoined, validity keying) and the cooperative
 // cancellation contract.
 //
 // The end-to-end tests run real queries over a generated JSON table —
-// through the session with sharing toggled, and through MaxsonServer with
-// truly concurrent clients — asserting results stay byte-identical to the
-// sharing-off ground truth while the maxson_sharedscan_* counters prove
-// passes were actually shared. Overlap at the server level is timing-
-// dependent, so coalescing there is asserted with a bounded retry loop;
-// correctness is asserted on every attempt.
+// every scan is a subscription, alone through the session and truly
+// concurrent through MaxsonServer — asserting results are byte-identical
+// to a file-based oracle that reads the part files directly, while the
+// maxson_sharedscan_* counters prove passes were actually shared. Overlap
+// at the server level is timing-dependent, so coalescing there is asserted
+// with a bounded retry loop; correctness is asserted on every attempt.
 
 #include <atomic>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -30,14 +32,17 @@
 #include "exec/shared_scan.h"
 #include "exec/thread_pool.h"
 #include "gtest/gtest.h"
+#include "json/json_path.h"
 #include "obs/metrics_registry.h"
 #include "serve/server.h"
+#include "storage/corc_reader.h"
 #include "storage/file_system.h"
 #include "workload/data_generator.h"
 
 namespace maxson {
 namespace {
 
+using exec::ColumnKey;
 using exec::Morsel;
 using exec::ScanInterest;
 using exec::ScanPredicate;
@@ -57,28 +62,34 @@ constexpr int kRowsPerMorsel = 2;
 std::vector<Morsel> MakeMorsels(size_t n) {
   std::vector<Morsel> morsels;
   for (size_t i = 0; i < n; ++i) {
-    Morsel m;
-    m.split_index = i;
-    m.split_path = "split" + std::to_string(i);
-    m.begin_stripe = 0;
-    m.end_stripe = 1;
-    m.begin_row = i * 100;
-    m.end_row = i * 100 + 100;
-    morsels.push_back(std::move(m));
+    morsels.push_back(Morsel{.path = "split" + std::to_string(i), .index = i});
   }
   return morsels;
 }
 
-ScanInterest MakeInterest(std::vector<std::string> columns,
+/// Raw-column keys for `names`.
+std::vector<ColumnKey> RawKeys(const std::vector<std::string>& names) {
+  std::vector<ColumnKey> keys;
+  for (const std::string& name : names) keys.emplace_back().name = name;
+  return keys;
+}
+
+ScanInterest MakeInterest(const std::vector<std::string>& columns,
                           const std::vector<Morsel>& morsels,
                           uint64_t validity = 1, ScanPredicate predicate = {}) {
   ScanInterest interest;
   interest.table_key = "warehouse/db/t";
   interest.validity = validity;
-  interest.columns = std::move(columns);
+  interest.columns = RawKeys(columns);
   interest.predicate = std::move(predicate);
   interest.morsels = morsels;
   return interest;
+}
+
+/// The value CountingPass writes at (split, union position, row).
+int64_t CellValue(size_t split, size_t position, int row) {
+  return static_cast<int64_t>(split) * 100 +
+         static_cast<int64_t>(position) * 10 + row;
 }
 
 /// A pass callback that counts executions and produces a batch whose cell
@@ -88,7 +99,7 @@ SharedScanPassFn CountingPass(std::atomic<int>* passes,
                               std::atomic<int>* last_predicates = nullptr) {
   return [passes, last_predicates](
              const Morsel& morsel, size_t /*ordinal*/,
-             const std::vector<std::string>& union_columns,
+             const std::vector<ColumnKey>& union_columns,
              const std::vector<ScanPredicate>& predicates)
              -> Result<SharedPassOutput> {
     passes->fetch_add(1);
@@ -96,8 +107,8 @@ SharedScanPassFn CountingPass(std::atomic<int>* passes,
       last_predicates->store(static_cast<int>(predicates.size()));
     }
     storage::Schema schema;
-    for (const std::string& column : union_columns) {
-      schema.AddField(column, storage::TypeKind::kInt64);
+    for (const ColumnKey& column : union_columns) {
+      schema.AddField(column.name, storage::TypeKind::kInt64);
     }
     SharedPassOutput out;
     out.batch = storage::RecordBatch(schema);
@@ -105,15 +116,27 @@ SharedScanPassFn CountingPass(std::atomic<int>* passes,
       std::vector<storage::Value> values;
       values.reserve(union_columns.size());
       for (size_t c = 0; c < union_columns.size(); ++c) {
-        values.push_back(storage::Value::Int64(
-            static_cast<int64_t>(morsel.split_index) * 100 +
-            static_cast<int64_t>(c) * 10 + row));
+        values.push_back(
+            storage::Value::Int64(CellValue(morsel.index, c, row)));
       }
       out.batch.AppendRow(values);
     }
     out.input_bytes = kPassInputBytes;
     return out;
   };
+}
+
+/// Renders taken columns cell by cell, so equal strings mean identical
+/// fan-out.
+std::string Render(const std::vector<storage::ColumnVector>& columns) {
+  std::string out;
+  for (const storage::ColumnVector& column : columns) {
+    for (size_t r = 0; r < column.size(); ++r) {
+      out += column.GetValue(r).ToString() + ",";
+    }
+    out += "|";
+  }
+  return out;
 }
 
 /// A pushed-down `column < literal` predicate with its canonical key, so
@@ -158,19 +181,23 @@ TEST(SharedScanManagerTest, StagedSubscribersCoalesceToOnePassPerMorsel) {
   EXPECT_EQ(stats.groups_opened, 1u);
 
   for (size_t ordinal = 0; ordinal < morsels.size(); ++ordinal) {
-    // Byte-identical fan-out: every subscriber sees the same batch.
-    const std::string fp = engine::FingerprintBatch(subs[0]->batch(ordinal));
-    int executors = 0;
-    for (auto& sub : subs) {
-      EXPECT_EQ(engine::FingerprintBatch(sub->batch(ordinal)), fp);
-      executors += sub->executed_by_self(ordinal) ? 1 : 0;
+    // Identical fan-out: the first three subscribers copy their columns,
+    // the last one moves them out, and all four see the same cells.
+    const std::vector<storage::ColumnVector> first = subs[0]->Take(ordinal);
+    ASSERT_EQ(first.size(), 2u);
+    EXPECT_EQ(first[0].size(), static_cast<size_t>(kRowsPerMorsel));
+    const std::string expected = Render(first);
+    int executors = subs[0]->executed_by_self(ordinal) ? 1 : 0;
+    for (size_t i = 1; i < subs.size(); ++i) {
+      EXPECT_EQ(Render(subs[i]->Take(ordinal)), expected);
+      executors += subs[i]->executed_by_self(ordinal) ? 1 : 0;
     }
     // Exactly one subscription ran the pass; the rest rode the result.
     EXPECT_EQ(executors, 1);
   }
 }
 
-TEST(SharedScanManagerTest, UnionColumnsMapBackByNamePerSubscriber) {
+TEST(SharedScanManagerTest, UnionColumnsMapBackByPositionPerSubscriber) {
   SharedScanManager manager;
   const auto morsels = MakeMorsels(2);
   std::atomic<int> passes{0};
@@ -185,19 +212,33 @@ TEST(SharedScanManagerTest, UnionColumnsMapBackByNamePerSubscriber) {
   EXPECT_EQ(passes.load(), 2);
 
   for (size_t ordinal = 0; ordinal < morsels.size(); ++ordinal) {
-    const auto mapping = b->ColumnMapping(ordinal);
-    ASSERT_EQ(mapping.size(), 2u);
-    const auto& batch = b->batch(ordinal);
-    EXPECT_EQ(batch.schema().field(mapping[0]).name, "b");
-    EXPECT_EQ(batch.schema().field(mapping[1]).name, "a");
-    // Cell values encode the union position, so a correct mapping reads
-    // back b's columns regardless of the batch's physical column order.
+    // Cell values encode the union position: the union is {a, b} in
+    // first-seen order, so b's interest {b, a} reads positions 1 then 0.
+    const std::vector<storage::ColumnVector> columns = b->Take(ordinal);
+    ASSERT_EQ(columns.size(), 2u);
     for (int row = 0; row < kRowsPerMorsel; ++row) {
-      EXPECT_EQ(batch.column(mapping[0]).GetValue(row).int64_value(),
-                static_cast<int64_t>(ordinal) * 100 +
-                    static_cast<int64_t>(mapping[0]) * 10 + row);
+      EXPECT_EQ(columns[0].GetInt64(row), CellValue(ordinal, 1, row));
+      EXPECT_EQ(columns[1].GetInt64(row), CellValue(ordinal, 0, row));
     }
+    const std::vector<storage::ColumnVector> only_a = a->Take(ordinal);
+    ASSERT_EQ(only_a.size(), 1u);
+    EXPECT_EQ(only_a[0].GetInt64(0), CellValue(ordinal, 0, 0));
   }
+}
+
+TEST(SharedScanManagerTest, ColumnRequestedTwiceIsTakenTwice) {
+  SharedScanManager manager;
+  const auto morsels = MakeMorsels(1);
+  std::atomic<int> passes{0};
+  // Alone, the subscription is the last consumer and moves the column out;
+  // its second request for the same key still gets every cell.
+  auto sub = manager.Subscribe(MakeInterest({"a", "a"}, morsels),
+                               CountingPass(&passes));
+  ASSERT_TRUE(sub->Collect(nullptr).ok());
+  const std::vector<storage::ColumnVector> columns = sub->Take(0);
+  ASSERT_EQ(columns.size(), 2u);
+  EXPECT_EQ(Render({columns[0]}), Render({columns[1]}));
+  EXPECT_EQ(columns[1].size(), static_cast<size_t>(kRowsPerMorsel));
 }
 
 TEST(SharedScanManagerTest, PendingPassesMergePredicatesAsDisjunction) {
@@ -308,10 +349,10 @@ TEST(SharedScanManagerTest, RetiredPassesAreNeverRejoined) {
   auto a =
       manager.Subscribe(MakeInterest({"a"}, morsels), CountingPass(&passes));
   ASSERT_TRUE(a->Collect(&pool).ok());
-  // a consumes and releases everything: the passes retire and free their
-  // decoded rows. Sharing is a concurrency window, not a cache.
+  // a takes everything: the passes retire and hand their decoded rows
+  // over. Sharing is a concurrency window, not a cache.
   for (size_t ordinal = 0; ordinal < morsels.size(); ++ordinal) {
-    a->Release(ordinal);
+    EXPECT_EQ(a->Take(ordinal).size(), 1u);
   }
 
   auto late =
@@ -341,14 +382,14 @@ TEST(SharedScanManagerTest, CancelledSubscriberLeavesCoSubscriberWorking) {
   // The co-subscriber is unaffected: it claims and runs the passes itself.
   ASSERT_TRUE(worker->Collect(&pool).ok());
   EXPECT_EQ(passes.load(), 3);
-  for (size_t ordinal = 0; ordinal < morsels.size(); ++ordinal) {
-    EXPECT_EQ(worker->batch(ordinal).num_rows(),
+  EXPECT_EQ(worker->Take(0)[0].size(), static_cast<size_t>(kRowsPerMorsel));
+  // Destroying the cancelled subscription consumes its registrations
+  // without disturbing the worker's still-untaken outputs.
+  quitter.reset();
+  for (size_t ordinal = 1; ordinal < morsels.size(); ++ordinal) {
+    EXPECT_EQ(worker->Take(ordinal)[0].size(),
               static_cast<size_t>(kRowsPerMorsel));
   }
-  // Destroying the cancelled subscription consumes its registrations
-  // without disturbing the worker's still-held outputs.
-  quitter.reset();
-  EXPECT_EQ(worker->batch(0).num_rows(), static_cast<size_t>(kRowsPerMorsel));
 
   // The external cancel flag (the executor's ExecContext cancel) is
   // honoured the same way.
@@ -363,7 +404,7 @@ TEST(SharedScanManagerTest, PassFailurePropagatesToEverySubscriber) {
   const auto morsels = MakeMorsels(2);
   std::atomic<int> passes{0};
   const SharedScanPassFn failing =
-      [&passes](const Morsel&, size_t, const std::vector<std::string>&,
+      [&passes](const Morsel&, size_t, const std::vector<ColumnKey>&,
                 const std::vector<ScanPredicate>&) -> Result<SharedPassOutput> {
     passes.fetch_add(1);
     return Status::IoError("disk on fire");
@@ -383,6 +424,16 @@ TEST(SharedScanManagerTest, PassFailurePropagatesToEverySubscriber) {
 // End-to-end tests: real queries over a generated JSON table.
 // ---------------------------------------------------------------------------
 
+/// One query of the end-to-end tests and what the file oracle needs to
+/// answer it: `SELECT [id,] [get_json_object(payload, '$.fN') AS fN]
+/// FROM t WHERE keep(id)`.
+struct OracleQuery {
+  std::string sql;
+  bool with_id = true;
+  std::string path = "";  // "$.fN", or empty for no get_json_object column
+  std::function<bool(int64_t)> keep = [](int64_t) { return true; };
+};
+
 class SharedScanE2ETest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -396,12 +447,13 @@ class SharedScanE2ETest : public ::testing::Test {
     spec.num_properties = 4;
     spec.avg_json_bytes = 120;
     spec.rows = 600;
-    spec.rows_per_file = 150;  // 4 splits -> 4 morsels per default scan
+    spec.rows_per_file = 150;  // 4 splits -> 4 morsels per scan
     spec.rows_per_group = 50;
     spec.seed = 7;
     auto generated =
         workload::GenerateJsonTable(spec, root_ + "/warehouse", 1, &catalog_);
     ASSERT_TRUE(generated.ok()) << generated.status();
+    table_dir_ = generated->location;
 
     core::MaxsonConfig config;
     config.cache_root = root_ + "/cache";
@@ -415,8 +467,7 @@ class SharedScanE2ETest : public ::testing::Test {
     ASSERT_TRUE(storage::FileSystem::RemoveAll(root_).ok());
   }
 
-  /// Fingerprint of `sql` under the session's *current* configuration.
-  /// Ground truths are taken before sharing is switched on.
+  /// Fingerprint of `sql` as the session executes it.
   std::string Fingerprint(const std::string& sql) {
     auto result = session_->Execute(sql);
     EXPECT_TRUE(result.ok()) << sql << ": " << result.status();
@@ -424,11 +475,63 @@ class SharedScanE2ETest : public ::testing::Test {
                        : std::string();
   }
 
-  void SetSharedScan(bool enabled, uint64_t morsel_rows = 0) {
-    core::SessionUpdate update;
-    update.shared_scan = enabled;
-    update.morsel_rows = morsel_rows;
-    ASSERT_TRUE(session_->UpdateConfig(update).ok());
+  /// File-based oracle: `q`'s expected result computed without the engine.
+  /// Each split is read with CorcReader in index order, the path is
+  /// extracted with json::GetJsonObject (absent -> NULL), the predicate is
+  /// applied here, and every output column is typed the way the engine
+  /// types it — by its first non-null value, string when there is none.
+  std::string Expected(const OracleQuery& q) {
+    std::vector<std::vector<storage::Value>> rows;
+    auto path = json::JsonPath::Parse(q.path.empty() ? "$" : q.path);
+    EXPECT_TRUE(path.ok()) << q.path;
+    auto splits = storage::FileSystem::ListSplits(table_dir_);
+    EXPECT_TRUE(splits.ok()) << splits.status();
+    if (!path.ok() || !splits.ok()) return std::string();
+    for (const storage::Split& split : *splits) {
+      storage::CorcReader reader(split.path);
+      EXPECT_TRUE(reader.Open().ok()) << split.path;
+      auto batch = reader.ReadAll(nullptr);
+      EXPECT_TRUE(batch.ok()) << batch.status();
+      if (!batch.ok()) return std::string();
+      const int id_col = batch->schema().FindField("id");
+      const int payload_col = batch->schema().FindField("payload");
+      for (size_t r = 0; r < batch->num_rows(); ++r) {
+        const int64_t id =
+            batch->column(static_cast<size_t>(id_col)).GetInt64(r);
+        if (!q.keep(id)) continue;
+        std::vector<storage::Value> row;
+        if (q.with_id) row.push_back(storage::Value::Int64(id));
+        if (!q.path.empty()) {
+          const storage::ColumnVector& payload =
+              batch->column(static_cast<size_t>(payload_col));
+          Result<std::string> value =
+              payload.IsNull(r) ? Result<std::string>(Status::NotFound(""))
+                                : json::GetJsonObject(payload.GetString(r),
+                                                      *path);
+          row.push_back(value.ok() ? storage::Value::String(std::move(*value))
+                                   : storage::Value::Null());
+        }
+        rows.push_back(std::move(row));
+      }
+    }
+    std::vector<std::string> names;
+    if (q.with_id) names.push_back("id");
+    if (!q.path.empty()) names.push_back(q.path.substr(2));  // "$.fN" -> fN
+    storage::Schema schema;
+    for (size_t c = 0; c < names.size(); ++c) {
+      storage::TypeKind type = storage::TypeKind::kString;
+      for (const std::vector<storage::Value>& row : rows) {
+        if (row[c].is_null()) continue;
+        if (row[c].is_int64()) type = storage::TypeKind::kInt64;
+        break;
+      }
+      schema.AddField(names[c], type);
+    }
+    storage::RecordBatch expected(schema);
+    for (const std::vector<storage::Value>& row : rows) {
+      expected.AppendRow(row);
+    }
+    return engine::FingerprintBatch(expected);
   }
 
   /// A registry entry for an unrelated table: importing it bumps
@@ -447,54 +550,54 @@ class SharedScanE2ETest : public ::testing::Test {
   }
 
   std::string root_;
+  std::string table_dir_;
   catalog::Catalog catalog_;
   obs::MetricsRegistry metrics_;
   std::unique_ptr<core::MaxsonSession> session_;
 };
 
-TEST_F(SharedScanE2ETest, SharingOnAndOffAreByteIdentical) {
-  const std::vector<std::string> queries = {
-      "SELECT id FROM t",
-      "SELECT id, get_json_object(payload, '$.f1') AS f1 FROM t "
-      "WHERE id >= 100",
-      "SELECT get_json_object(payload, '$.f2') AS f2 FROM t WHERE id < 50",
+TEST_F(SharedScanE2ETest, SequentialScansMatchTheFileOracle) {
+  const std::vector<OracleQuery> queries = {
+      {.sql = "SELECT id FROM t"},
+      {.sql = "SELECT id, get_json_object(payload, '$.f1') AS f1 FROM t "
+              "WHERE id >= 100",
+       .path = "$.f1",
+       .keep = [](int64_t id) { return id >= 100; }},
+      {.sql = "SELECT get_json_object(payload, '$.f2') AS f2 FROM t "
+              "WHERE id < 50",
+       .with_id = false,
+       .path = "$.f2",
+       .keep = [](int64_t id) { return id < 50; }},
   };
-  // Ground truth with the private per-query scan path (sharing defaults
-  // off on a bare session).
-  std::vector<std::string> expected;
-  for (const std::string& sql : queries) expected.push_back(Fingerprint(sql));
-
-  // Coarse morsels (one per split), then fine morsels (several per split)
-  // to exercise the morsel-order reassembly.
-  for (const uint64_t morsel_rows : {uint64_t{0}, uint64_t{60}}) {
-    SetSharedScan(true, morsel_rows);
-    for (size_t i = 0; i < queries.size(); ++i) {
-      EXPECT_EQ(Fingerprint(queries[i]), expected[i])
-          << queries[i] << " diverged with morsel_rows=" << morsel_rows;
-    }
+  for (const OracleQuery& q : queries) {
+    // Every scan subscribes, even alone: one subscription, one pass per
+    // split, nothing to coalesce with.
+    const auto before = session_->stats();
+    EXPECT_EQ(Fingerprint(q.sql), Expected(q)) << q.sql;
+    const auto after = session_->stats();
+    EXPECT_EQ(after.sharedscan_subscribers - before.sharedscan_subscribers,
+              1u);
+    EXPECT_EQ(after.sharedscan_parse_passes - before.sharedscan_parse_passes,
+              4u);
+    EXPECT_EQ(after.sharedscan_coalesced_parses,
+              before.sharedscan_coalesced_parses);
   }
-  // Even sequential queries go through the shared executor when enabled.
-  const auto stats = session_->stats();
-  EXPECT_TRUE(stats.shared_scan_enabled);
-  EXPECT_GT(stats.sharedscan_subscribers, 0u);
-  EXPECT_GT(stats.sharedscan_parse_passes, 0u);
-  SetSharedScan(false);
 }
 
 TEST_F(SharedScanE2ETest, ConcurrentServedClientsCoalesceAndStayIdentical) {
-  const std::string sql =
-      "SELECT id, get_json_object(payload, '$.f1') AS f1 FROM t "
-      "WHERE id < 400";
-  const std::string expected = Fingerprint(sql);  // sharing still off here
+  const OracleQuery q = {
+      .sql = "SELECT id, get_json_object(payload, '$.f1') AS f1 FROM t "
+             "WHERE id < 400",
+      .path = "$.f1",
+      .keep = [](int64_t id) { return id < 400; }};
+  const std::string expected = Expected(q);
+  const std::string& sql = q.sql;
 
   serve::ServeOptions options;
   // Result caching off so every client truly scans (the point here is the
   // scan-sharing layer below the result cache).
   options.enable_result_cache = false;
   serve::MaxsonServer server(session_.get(), &catalog_, options);
-  ASSERT_TRUE(session_->stats().shared_scan_enabled)
-      << "server construction should switch the session to shared scans";
-
   constexpr size_t kClients = 4;
   std::vector<serve::ClientSession> clients;
   for (size_t i = 0; i < kClients; ++i) {
@@ -528,7 +631,7 @@ TEST_F(SharedScanE2ETest, ConcurrentServedClientsCoalesceAndStayIdentical) {
     }
     go.store(true, std::memory_order_release);
     for (std::thread& t : threads) t.join();
-    ASSERT_TRUE(ok.load()) << "a served result diverged from ground truth";
+    ASSERT_TRUE(ok.load()) << "a served result diverged from the oracle";
 
     const auto after = session_->stats();
     EXPECT_EQ(after.sharedscan_subscribers - before.sharedscan_subscribers,
@@ -542,11 +645,13 @@ TEST_F(SharedScanE2ETest, ConcurrentServedClientsCoalesceAndStayIdentical) {
 }
 
 TEST_F(SharedScanE2ETest, MidRunInvalidationKeepsResultsCorrect) {
-  const std::string sql =
-      "SELECT id, get_json_object(payload, '$.f1') AS f1 FROM t "
-      "WHERE id < 300";
-  const std::string expected = Fingerprint(sql);
-  SetSharedScan(true);
+  const OracleQuery q = {
+      .sql = "SELECT id, get_json_object(payload, '$.f1') AS f1 FROM t "
+             "WHERE id < 300",
+      .path = "$.f1",
+      .keep = [](int64_t id) { return id < 300; }};
+  const std::string expected = Expected(q);
+  const std::string& sql = q.sql;
 
   // Registry churn concurrent with querying: version bumps move new scans
   // to fresh sharing groups; in-flight ones finish against their stamp.
@@ -579,21 +684,24 @@ TEST_F(SharedScanE2ETest, MidRunInvalidationKeepsResultsCorrect) {
   stop.store(true);
   invalidator.join();
   EXPECT_TRUE(ok.load());
-  SetSharedScan(false);
 }
 
-// The TSan target: many threads, mixed queries, registry churn, knob
-// flips. Run standalone under ThreadSanitizer by tools/ci.sh.
+// The TSan target: many threads, mixed queries, registry churn. Run
+// standalone under ThreadSanitizer by tools/ci.sh.
 TEST_F(SharedScanE2ETest, ConcurrentMixedQueriesStress) {
-  const std::vector<std::string> queries = {
-      "SELECT id FROM t WHERE id < 200",
-      "SELECT id, get_json_object(payload, '$.f1') AS f1 FROM t "
-      "WHERE id >= 150",
-      "SELECT get_json_object(payload, '$.f2') AS f2 FROM t",
+  const std::vector<OracleQuery> queries = {
+      {.sql = "SELECT id FROM t WHERE id < 200",
+       .keep = [](int64_t id) { return id < 200; }},
+      {.sql = "SELECT id, get_json_object(payload, '$.f1') AS f1 FROM t "
+              "WHERE id >= 150",
+       .path = "$.f1",
+       .keep = [](int64_t id) { return id >= 150; }},
+      {.sql = "SELECT get_json_object(payload, '$.f2') AS f2 FROM t",
+       .with_id = false,
+       .path = "$.f2"},
   };
   std::vector<std::string> expected;
-  for (const std::string& sql : queries) expected.push_back(Fingerprint(sql));
-  SetSharedScan(true);
+  for (const OracleQuery& q : queries) expected.push_back(Expected(q));
 
   constexpr size_t kThreads = 6;
   constexpr int kIterations = 8;
@@ -603,7 +711,7 @@ TEST_F(SharedScanE2ETest, ConcurrentMixedQueriesStress) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kIterations; ++i) {
         const size_t q = (t + i) % queries.size();
-        auto result = session_->Execute(queries[q]);
+        auto result = session_->Execute(queries[q].sql);
         if (!result.ok() ||
             engine::FingerprintBatch(result->batch) != expected[q]) {
           ok.store(false);
@@ -619,7 +727,6 @@ TEST_F(SharedScanE2ETest, ConcurrentMixedQueriesStress) {
   for (std::thread& t : threads) t.join();
   EXPECT_TRUE(ok.load());
   EXPECT_GT(session_->stats().sharedscan_parse_passes, 0u);
-  SetSharedScan(false);
 }
 
 }  // namespace

@@ -89,7 +89,10 @@ TEST_F(ShellTest, MalformedSetValuesAreRejectedWithErrors) {
       << output;
   EXPECT_NE(output.find("usage: "), std::string::npos) << output;
   EXPECT_NE(output.find("set threads N"), std::string::npos) << output;
-  EXPECT_NE(output.find("set sharedscan on|off"), std::string::npos) << output;
+  EXPECT_NE(output.find("set corcencoding on|off"), std::string::npos)
+      << output;
+  // Scan sharing is how every scan runs, not a knob.
+  EXPECT_EQ(output.find("sharedscan"), std::string::npos) << output;
 }
 
 TEST_F(ShellTest, MalformedSetLeavesSessionUsable) {
@@ -183,19 +186,14 @@ TEST_F(ShellTest, ValidKnobsAndQueriesStillWork) {
   const std::string output = RunShell(
       "set rawfilter on\n"
       "set budget 1000000\n"
-      "set sharedscan on\n"
-      "set morselsize 1000\n"
       "SELECT id FROM t WHERE id < 3\n"
       ".stats\n"
-      "set sharedscan off\n"
       ".quit\n");
   EXPECT_NE(output.find("rawfilter = on"), std::string::npos) << output;
   EXPECT_NE(output.find("budget = 1000000"), std::string::npos) << output;
-  EXPECT_NE(output.find("sharedscan = on"), std::string::npos) << output;
-  EXPECT_NE(output.find("morselsize = 1000"), std::string::npos) << output;
-  // The query above ran with sharing on, so the stats line shows the knobs
-  // and at least one subscription.
-  EXPECT_NE(output.find("sharedscan:     on (morselsize 1000)"),
+  // Every scan subscribes to the shared-scan manager: the one query over
+  // the one-split table is one subscription running one pass.
+  EXPECT_NE(output.find("sharedscan:     1 subscribers, 1 passes, 0 coalesced"),
             std::string::npos)
       << output;
   EXPECT_NE(output.find("id"), std::string::npos) << output;

@@ -8,7 +8,9 @@
 #           .clang-tidy) runs only when the binary exists. When clang++ is
 #           on PATH, a -fsyntax-only pass with -Wthread-safety -Werror
 #           checks the MAXSON_* annotations per TU (skipped with a message
-#           otherwise; --skip-threadsafety silences the stage).
+#           otherwise; --skip-threadsafety silences the stage). Then one
+#           log line of src/ line counts per module and in total, so a
+#           change's size delta reads off the log.
 #   release Release build + full test suite (the tier-1 gate).
 #   asan    AddressSanitizer + UndefinedBehaviorSanitizer build + full test
 #           suite, with leak detection on and halt-on-error so the first
@@ -21,9 +23,12 @@
 #           attacker-controlled bytes.
 #   tsan    ThreadSanitizer build + full test suite (the parallel execution
 #           runtime must be race-clean); the metrics-determinism test, the
-#           CacheRegistry stress test, the serving-layer test, and the
-#           shared-scan executor test also run standalone so a racy counter,
-#           serving race, or scan-sharing race fails loudly by name.
+#           CacheRegistry stress test, the serving-layer test, the
+#           shared-scan executor test, and the midnight-cycle-vs-queries
+#           race (bare sessions scan through the shared-scan scheduler
+#           while the cycle rewrites the cache) also run standalone so a
+#           racy counter, serving race, or scan-sharing race fails loudly
+#           by name.
 #   crash   Crash-consistency suite: the durability tests (corruption
 #           matrix, kill-at-every-fault-point midnight sweep) re-run
 #           standalone under Release and ASan, plus one run with the
@@ -95,6 +100,16 @@ if [[ "$run_threadsafety" == 1 ]]; then
   fi
 fi
 
+echo "=== src/ line counts ==="
+src_lines() {
+  find "$@" \( -name '*.h' -o -name '*.cc' \) -exec cat {} + | wc -l
+}
+counts=""
+for dir in src/*/; do
+  counts+="$(basename "$dir")=$(src_lines "$dir") "
+done
+echo "${counts}total=$(src_lines src)"
+
 echo "=== Release build + tests ==="
 cmake -B build-ci -S . -DCMAKE_BUILD_TYPE=Release \
   -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
@@ -138,6 +153,9 @@ if [[ "$run_tsan" == 1 ]]; then
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/serve_test
   echo "=== Shared-scan executor under TSan ==="
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/shared_scan_test
+  echo "=== Midnight cycle racing queries under TSan ==="
+  TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/parallel_exec_test \
+    --gtest_filter='ParallelExecTest.MidnightCycleRacingQueriesIsSafe'
 fi
 
 echo "=== Crash-consistency suite (durability tests) ==="

@@ -27,7 +27,6 @@
 //   set threads N | set trace on|off | set rawfilter on|off | set budget N
 //   set ondemand on|off | set isa scalar|sse2|avx2|auto
 //   set faultinject fail:N|torn:N|short:N|off
-//   set sharedscan on|off | set morselsize ROWS
 //   set corcencoding on|off
 //   set resultcache on|off | set maxinflight N | set maxqueue N
 //
@@ -73,7 +72,8 @@ void PrintHelp() {
       ".train FIRST LAST    train the MPJP predictor on target days\n"
       ".midnight DAY        run the nightly predict/score/cache cycle\n"
       ".cache               show cache registry entries\n"
-      ".stats               session counter snapshot\n"
+      ".stats               session counter snapshot (incl. shared-scan\n"
+      "                     subscribers, passes and coalesced passes)\n"
       ".serve               serving-layer snapshot (result cache, admission)\n"
       ".metrics             dump the metrics registry (Prometheus text;\n"
       "                     *_seconds series are summed per-task CPU time,\n"
@@ -87,10 +87,6 @@ void PrintHelp() {
       "                     set faultinject fail:N|torn:N|short:N|off\n"
       "set ondemand on|off  resolve selective path sets by cursoring the\n"
       "                     SIMD structural tape instead of a full DOM parse\n"
-      "set sharedscan on|off  coalesce concurrent scans of one table into\n"
-      "                     one parse pass per morsel\n"
-      "set morselsize ROWS  target rows per shared-scan morsel (0 = one\n"
-      "                     morsel per split)\n"
       "set corcencoding on|off  write cache files as CORC v3 with adaptive\n"
       "                     chunk encodings (dict/RLE/block; off = v2 plain)\n"
       "set resultcache on|off  serve repeated SELECTs from the semantic\n"
@@ -221,8 +217,8 @@ int Run(const ShellOptions& options) {
             "simd:           isa=%s\n"
             "faultinject:    %s\n"
             "ondemand:       %s\n"
-            "sharedscan:     %s (morselsize %llu); %llu subscribers, "
-            "%llu passes, %llu coalesced, %llu bytes saved\n"
+            "sharedscan:     %llu subscribers, %llu passes, %llu coalesced, "
+            "%llu bytes saved\n"
             "corcencoding:   %s\n",
             static_cast<unsigned long long>(stats.rewrite_cache_hits),
             static_cast<unsigned long long>(stats.rewrite_cache_misses),
@@ -237,8 +233,6 @@ int Run(const ShellOptions& options) {
             static_cast<unsigned long long>(stats.trace_events),
             stats.simd_isa.c_str(), stats.fault_injection.c_str(),
             stats.ondemand_enabled ? "on" : "off",
-            stats.shared_scan_enabled ? "on" : "off",
-            static_cast<unsigned long long>(stats.morsel_rows),
             static_cast<unsigned long long>(stats.sharedscan_subscribers),
             static_cast<unsigned long long>(stats.sharedscan_parse_passes),
             static_cast<unsigned long long>(stats.sharedscan_coalesced_parses),
