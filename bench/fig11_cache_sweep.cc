@@ -21,9 +21,6 @@
 #include "catalog/catalog.h"
 #include "core/maxson.h"
 #include "core/scoring.h"
-#include "engine/fingerprint.h"
-#include "storage/corc_format.h"
-#include "storage/file_system.h"
 #include "workload/query_templates.h"
 
 using maxson::core::MaxsonConfig;
@@ -223,95 +220,6 @@ int main() {
     std::printf("\n");
   }
 
-  // CORC encoding ablation: cache the full selection twice — chunk
-  // encodings off (v2 files, the pre-encoding layout) and on (v3,
-  // adaptive dict/RLE/block per chunk). The same JSONPaths are covered
-  // both times, so coverage per MiB of cache improves exactly when the
-  // encoded cache is strictly smaller. Results must be byte-identical
-  // (cell-exact fingerprints) between the two runs.
-  std::printf("\nCORC encoding ablation — full selection, encodings off (v2) "
-              "vs on (v3)\n");
-  const auto full_selected =
-      maxson::core::SelectWithinBudget(scored, ~uint64_t{0});
-  const size_t covered_paths = full_selected.size();
-  struct EncodingRun {
-    uint64_t cache_bytes = 0;
-    uint64_t raw_bytes = 0;
-    uint64_t encoded_bytes = 0;
-    uint64_t chunks[maxson::storage::kNumChunkEncodings] = {};
-    std::vector<uint64_t> fingerprints;
-  };
-  auto run_encoding = [&](bool enabled) {
-    maxson::core::SessionUpdate update;
-    update.corc_encoding = enabled;
-    if (auto st = session.UpdateConfig(update); !st.ok()) {
-      std::fprintf(stderr, "%s\n", st.ToString().c_str());
-      std::exit(1);
-    }
-    auto stats = session.CacheSelected(full_selected, 14);
-    if (!stats.ok()) {
-      std::fprintf(stderr, "caching failed: %s\n",
-                   stats.status().ToString().c_str());
-      std::exit(1);
-    }
-    EncodingRun run;
-    run.raw_bytes = stats->corc_raw_bytes;
-    run.encoded_bytes = stats->corc_encoded_bytes;
-    for (int e = 0; e < maxson::storage::kNumChunkEncodings; ++e) {
-      run.chunks[e] = stats->corc_chunks[e];
-    }
-    auto size_or =
-        maxson::storage::FileSystem::DirectorySize(config.cache_root);
-    if (!size_or.ok()) {
-      std::fprintf(stderr, "%s\n", size_or.status().ToString().c_str());
-      std::exit(1);
-    }
-    run.cache_bytes = *size_or;
-    for (const BenchmarkQuery& q : queries) {
-      auto result = session.Execute(q.sql);
-      if (!result.ok()) {
-        std::fprintf(stderr, "%s failed: %s\n", q.name.c_str(),
-                     result.status().ToString().c_str());
-        std::exit(1);
-      }
-      run.fingerprints.push_back(
-          maxson::engine::FingerprintHash(result->batch));
-    }
-    return run;
-  };
-  const EncodingRun enc_off = run_encoding(false);
-  const EncodingRun enc_on = run_encoding(true);
-
-  auto per_mib = [covered_paths](uint64_t bytes) {
-    return static_cast<double>(covered_paths) /
-           (static_cast<double>(bytes) / (1 << 20));
-  };
-  std::printf("%-14s %14s %18s\n", "encodings", "cache (MiB)",
-              "paths per MiB");
-  std::printf("%-14s %14.2f %18.2f\n", "off (v2)",
-              static_cast<double>(enc_off.cache_bytes) / (1 << 20),
-              per_mib(enc_off.cache_bytes));
-  std::printf("%-14s %14.2f %18.2f\n", "on  (v3)",
-              static_cast<double>(enc_on.cache_bytes) / (1 << 20),
-              per_mib(enc_on.cache_bytes));
-  std::printf("v3 chunk mix:");
-  for (int e = 0; e < maxson::storage::kNumChunkEncodings; ++e) {
-    std::printf(" %s=%llu",
-                maxson::storage::ChunkEncodingName(
-                    static_cast<maxson::storage::ChunkEncoding>(e)),
-                static_cast<unsigned long long>(enc_on.chunks[e]));
-  }
-  std::printf("  (raw %.2f MiB -> encoded %.2f MiB)\n",
-              static_cast<double>(enc_on.raw_bytes) / (1 << 20),
-              static_cast<double>(enc_on.encoded_bytes) / (1 << 20));
-
-  const bool results_identical = enc_off.fingerprints == enc_on.fingerprints;
-  const bool coverage_improved = enc_on.cache_bytes < enc_off.cache_bytes;
-  std::printf("results byte-identical on vs off: %s\n",
-              results_identical ? "YES" : "NO");
-  std::printf("coverage per MiB strictly improves with encodings: %s\n",
-              coverage_improved ? "YES" : "NO");
-
   std::ofstream json("BENCH_cache.json", std::ios::trunc);
   json << "{\n  \"bench\": \"fig11_cache_sweep\",\n";
   json << "  \"no_cache_total_seconds\": " << no_cache_total << ",\n";
@@ -327,28 +235,7 @@ int main() {
     json << (first ? "" : ", ") << '"' << fraction << "\": " << total;
     first = false;
   }
-  json << "},\n  \"encoding_ablation\": {\n";
-  json << "    \"covered_paths\": " << covered_paths << ",\n";
-  json << "    \"v2_cache_bytes\": " << enc_off.cache_bytes << ",\n";
-  json << "    \"v3_cache_bytes\": " << enc_on.cache_bytes << ",\n";
-  json << "    \"v2_paths_per_mib\": " << per_mib(enc_off.cache_bytes)
-       << ",\n";
-  json << "    \"v3_paths_per_mib\": " << per_mib(enc_on.cache_bytes)
-       << ",\n";
-  json << "    \"v3_raw_bytes\": " << enc_on.raw_bytes << ",\n";
-  json << "    \"v3_encoded_bytes\": " << enc_on.encoded_bytes << ",\n";
-  json << "    \"v3_chunks\": {";
-  for (int e = 0; e < maxson::storage::kNumChunkEncodings; ++e) {
-    json << (e == 0 ? "" : ", ") << '"'
-         << maxson::storage::ChunkEncodingName(
-                static_cast<maxson::storage::ChunkEncoding>(e))
-         << "\": " << enc_on.chunks[e];
-  }
-  json << "},\n";
-  json << "    \"results_identical\": "
-       << (results_identical ? "true" : "false") << ",\n";
-  json << "    \"coverage_per_mib_improved\": "
-       << (coverage_improved ? "true" : "false") << "\n  }\n}\n";
+  json << "}\n}\n";
   json.close();
   std::printf("wrote BENCH_cache.json\n");
 
@@ -366,9 +253,5 @@ int main() {
                   : "NO");
   std::printf("larger budget -> faster (scoring): %s\n",
               (scoring_total[0.25] >= scoring_total[1.0]) ? "YES" : "NO");
-  if (!results_identical || !coverage_improved) {
-    std::fprintf(stderr, "encoding ablation FAILED acceptance checks\n");
-    return 1;
-  }
   return 0;
 }

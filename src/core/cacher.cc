@@ -115,7 +115,6 @@ Status JsonPathCacher::CacheTablePaths(
     json::JsonPath parsed;
     xml::XmlPath xpath;
     std::string field;
-    TypeKind type = TypeKind::kString;
   };
   std::vector<PathWork> work;
   for (const workload::JsonPathLocation& loc : paths) {
@@ -131,45 +130,11 @@ Status JsonPathCacher::CacheTablePaths(
     work.push_back(std::move(w));
   }
 
-  // Type inference pass: sample the first split and store numeric JSONPath
-  // values in typed columns, so the cache table's row-group min/max indexes
-  // order numerically and SARGs like `id > 10000` (Fig. 10) can skip row
-  // groups correctly. Values that are not uniformly numeric stay strings.
-  {
-    CorcReader sample_reader(splits[0].path);
-    MAXSON_RETURN_NOT_OK(sample_reader.Open());
-    for (PathWork& w : work) {
-      if (w.is_xml) continue;  // XML values stay strings (text content)
-      const int idx = sample_reader.schema().FindField(w.location.column);
-      if (idx < 0) continue;
-      MAXSON_ASSIGN_OR_RETURN(
-          storage::RecordBatch batch,
-          sample_reader.ReadStripe(0, {idx}, std::nullopt, nullptr));
-      bool all_int = true;
-      bool all_double = true;
-      bool any_value = false;
-      const size_t limit = std::min<size_t>(batch.num_rows(), 256);
-      for (size_t r = 0; r < limit; ++r) {
-        if (batch.column(0).IsNull(r)) continue;
-        auto dom = json::ParseJson(batch.column(0).GetString(r));
-        if (!dom.ok()) continue;
-        const json::JsonValue* node = w.parsed.Evaluate(*dom);
-        if (node == nullptr) continue;
-        any_value = true;
-        if (!node->is_int()) all_int = false;
-        if (!node->is_number()) all_double = false;
-        if (!all_double) break;
-      }
-      if (any_value && all_int) {
-        w.type = TypeKind::kInt64;
-      } else if (any_value && all_double) {
-        w.type = TypeKind::kDouble;
-      }
-    }
-  }
+  // Every field holds exactly the text get_json_object returns; numeric
+  // pruning comes from the writer's per-row-group bounds, not a type.
   storage::Schema cache_schema;
   for (const PathWork& w : work) {
-    cache_schema.AddField(w.field, w.type);
+    cache_schema.AddField(w.field, TypeKind::kString);
   }
 
   // One task per split: each owns its reader, writer, column resolution,
@@ -211,7 +176,6 @@ Status JsonPathCacher::CacheTablePaths(
         // guarantee).
         CorcWriterOptions options;
         options.rows_per_group = reader.footer().rows_per_group;
-        options.format_version = format_version_;
         CorcWriter writer(
             staging_dir + "/" + FileSystem::PartFileName(split.index),
             cache_schema, options);

@@ -91,12 +91,6 @@ class JsonPathCacher {
     pool_ = std::move(pool);
   }
 
-  /// CORC format version for cache files written from now on: v3 (adaptive
-  /// chunk encodings, the default) or v2 (plain chunks). Drives the
-  /// `set corcencoding on|off` session knob; already-written files are
-  /// unaffected — the reader handles both.
-  void set_format_version(uint32_t version) { format_version_ = version; }
-
   /// Empties the registry and deletes existing cache tables (the nightly
   /// "emptied and re-populated" step), then caches `selected` in order.
   Result<CachingStats> RepopulateCache(const std::vector<ScoredMpjp>& selected,
@@ -112,7 +106,6 @@ class JsonPathCacher {
   const catalog::Catalog* catalog_;
   std::string cache_root_;
   engine::JsonBackend backend_;
-  uint32_t format_version_ = storage::kCorcVersionV3;
   std::shared_ptr<exec::ThreadPool> pool_;
 };
 

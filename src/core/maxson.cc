@@ -63,8 +63,6 @@ MaxsonSession::MaxsonSession(const catalog::Catalog* catalog,
   // worker count is a single knob and the two workloads interleave instead
   // of oversubscribing.
   cacher_->set_pool(engine_->pool());
-  cacher_->set_format_version(config_.corc_encoding ? storage::kCorcVersionV3
-                                                    : storage::kCorcVersion);
   if (!config_.registry_path.empty()) {
     auto loaded = CacheRegistry::Load(config_.registry_path);
     if (loaded.ok()) {
@@ -296,12 +294,6 @@ Status MaxsonSession::UpdateConfig(const SessionUpdate& update) {
     MAXSON_RETURN_NOT_OK(
         storage::FaultInjector::Instance().Configure(*update.fault_injection));
   }
-  if (update.corc_encoding.has_value()) {
-    config_.corc_encoding = *update.corc_encoding;
-    cacher_->set_format_version(*update.corc_encoding
-                                    ? storage::kCorcVersionV3
-                                    : storage::kCorcVersion);
-  }
   return Status::Ok();
 }
 
@@ -321,7 +313,6 @@ SessionStats MaxsonSession::stats() const {
   stats.simd_isa = simd::IsaName(simd::ActiveIsa());
   stats.fault_injection = storage::FaultInjector::Instance().spec();
   stats.ondemand_enabled = config_.engine.enable_ondemand;
-  stats.corc_encoding_enabled = config_.corc_encoding;
   const exec::SharedScanStats shared =
       engine_->shared_scan_manager()->stats();
   stats.sharedscan_subscribers = shared.subscribers;
@@ -369,11 +360,6 @@ void RegisterSessionOptions(OptionRegistry* registry, MaxsonSession* session) {
                              update.fault_injection = spec;
                              return session->UpdateConfig(update);
                            });
-  registry->RegisterBool("corcencoding", "on|off", [session](bool on) {
-    SessionUpdate update;
-    update.corc_encoding = on;
-    return session->UpdateConfig(update);
-  });
 }
 
 }  // namespace maxson::core

@@ -43,12 +43,6 @@ struct MaxsonConfig {
   /// Start recording trace spans (query stages, midnight cycle) right away;
   /// can also be toggled later through UpdateConfig.
   bool enable_tracing = false;
-  /// Write cache files as CORC v3 with adaptive chunk encodings
-  /// (dictionary / RLE / block compression, smallest wins per chunk).
-  /// Off writes v2 plain chunks — byte-identical to pre-encoding builds.
-  /// Query results are byte-identical either way; the knob trades cache
-  /// bytes only.
-  bool corc_encoding = true;
   /// Registry the session publishes its observability series into. Null
   /// uses the process-wide obs::MetricsRegistry::Global(); tests hand each
   /// session a private registry so runs can be compared in isolation. Not
@@ -92,9 +86,6 @@ struct SessionUpdate {
   /// testing: "fail:N", "torn:N", "short:N", or "off" (see
   /// storage::FaultInjector). Malformed specs are rejected.
   std::optional<std::string> fault_injection;
-  /// Toggles CORC v3 adaptive chunk encodings for cache files written from
-  /// now on (off = v2 plain chunks; already-written files stay readable).
-  std::optional<bool> corc_encoding;
 };
 
 /// Read-only snapshot of the session's internal counters, for display
@@ -118,8 +109,6 @@ struct SessionStats {
   std::string fault_injection;
   /// On-demand parsing tier knob (see json/ondemand_parser.h).
   bool ondemand_enabled = false;
-  /// CORC v3 adaptive chunk encoding knob (see storage/encoding.h).
-  bool corc_encoding_enabled = false;
   /// Shared-scan lifetime totals (see exec/shared_scan.h): scheduling
   /// counters, not deterministic query outcomes.
   uint64_t sharedscan_subscribers = 0;
@@ -297,10 +286,10 @@ class MaxsonSession {
 };
 
 /// Registers the session's runtime knobs ("set KNOB VALUE") on `registry`:
-/// threads, trace, rawfilter, ondemand, budget, isa, faultinject,
-/// corcencoding. Every setter routes through the one validated UpdateConfig
-/// entry point, so registry-driven frontends (the shell) and programmatic
-/// callers share identical validation. `session` must outlive the registry.
+/// threads, trace, rawfilter, ondemand, budget, isa, faultinject. Every
+/// setter routes through the one validated UpdateConfig entry point, so
+/// registry-driven frontends (the shell) and programmatic callers share
+/// identical validation. `session` must outlive the registry.
 void RegisterSessionOptions(OptionRegistry* registry, MaxsonSession* session);
 
 }  // namespace maxson::core

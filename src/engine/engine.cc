@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <shared_mutex>
 
@@ -235,15 +236,14 @@ void QueryEngine::RegisterBuiltinFunctions() {
     return Value::Bool(false);
   };
   // cast helpers used by benches to force numeric comparisons.
+  // SARG evaluation applies the same casts to row-group bounds.
   functions_["to_double"] = [](const std::vector<Value>& args,
                                const EvalContext&) -> Value {
-    if (args.size() != 1 || args[0].is_null()) return Value::Null();
-    return Value::Double(args[0].AsDouble());
+    return args.size() == 1 ? storage::CastToDouble(args[0]) : Value::Null();
   };
   functions_["to_int"] = [](const std::vector<Value>& args,
                             const EvalContext&) -> Value {
-    if (args.size() != 1 || args[0].is_null()) return Value::Null();
-    return Value::Int64(static_cast<int64_t>(args[0].AsDouble()));
+    return args.size() == 1 ? storage::CastToInt(args[0]) : Value::Null();
   };
 }
 
@@ -1078,20 +1078,23 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
     metrics.operators.push_back(std::move(limit_op));
   }
 
-  // Materialize the output batch. Column types are derived from the first
-  // non-null value in each column (string when empty).
+  // Materialize the output batch. A column's type is the widest TypeKind
+  // among all its values (string when all are NULL), whatever the row order.
   Schema final_schema;
   for (size_t p = 0; p < plan.projections.size(); ++p) {
-    TypeKind type = TypeKind::kString;
+    std::optional<TypeKind> type;
     for (const std::vector<Value>& row : out_rows) {
       const Value& v = row[p];
       if (v.is_null()) continue;
-      if (v.is_bool()) type = TypeKind::kBool;
-      if (v.is_int64()) type = TypeKind::kInt64;
-      if (v.is_double()) type = TypeKind::kDouble;
-      break;
+      const TypeKind kind = v.is_bool()     ? TypeKind::kBool
+                            : v.is_int64()  ? TypeKind::kInt64
+                            : v.is_double() ? TypeKind::kDouble
+                                            : TypeKind::kString;
+      type = std::max(type.value_or(kind), kind);
+      if (*type == TypeKind::kString) break;
     }
-    final_schema.AddField(plan.projection_names[p], type);
+    final_schema.AddField(plan.projection_names[p],
+                          type.value_or(TypeKind::kString));
   }
   RecordBatch out(final_schema);
   for (const std::vector<Value>& row : out_rows) out.AppendRow(row);

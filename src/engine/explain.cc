@@ -34,7 +34,11 @@ std::string RenderSarg(const storage::SearchArgument& sarg) {
   std::string out;
   for (const storage::SargLeaf& leaf : sarg.leaves()) {
     if (!out.empty()) out += " AND ";
-    out += leaf.column;
+    using storage::SargCast;
+    const char* cast = leaf.cast == SargCast::kToInt      ? "to_int("
+                       : leaf.cast == SargCast::kToDouble ? "to_double("
+                                                          : "";
+    out += cast + leaf.column + (*cast != '\0' ? ")" : "");
     out += ' ';
     out += SargOpText(leaf.op);
     if (leaf.op != storage::SargOp::kIsNull &&

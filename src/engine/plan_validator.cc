@@ -273,13 +273,25 @@ Status CheckScan(const PhysicalPlan& plan, const ScanNode& scan,
   // Pushdown soundness. Raw SARG leaves must name raw table columns; cache
   // SARG leaves must name cache fields this scan actually requests — a
   // predicate pushed to the cache reader for an uncached path would prune
-  // row groups on a column the cache file does not carry values for.
+  // row groups on a column the cache file does not carry values for. And
+  // bounds must order each leaf as the residual filter compares it (a
+  // numeric literal on a cache field only through a cast).
+  const auto check_order = [&](const storage::SargLeaf& leaf,
+                               storage::TypeKind type) -> Status {
+    if (storage::PrunesInFilterOrder(type, leaf)) return Status::Ok();
+    return Violation(plan, "pushdown-soundness",
+                     Site(side, {}) + ": SARG on '" + leaf.column +
+                         "' compares in an order its bounds do not follow");
+  };
   for (const storage::SargLeaf& leaf : scan.raw_sarg.leaves()) {
-    if (scan.table_schema.FindField(leaf.column) < 0) {
+    const int idx = scan.table_schema.FindField(leaf.column);
+    if (idx < 0) {
       return Violation(plan, "pushdown-soundness",
                        Site(side, {}) + ": raw SARG on '" + leaf.column +
                            "', which is not a raw table column");
     }
+    MAXSON_RETURN_NOT_OK(check_order(
+        leaf, scan.table_schema.field(static_cast<size_t>(idx)).type));
   }
   for (const storage::SargLeaf& leaf : scan.cache_sarg.leaves()) {
     bool cached = false;
@@ -295,6 +307,7 @@ Status CheckScan(const PhysicalPlan& plan, const ScanNode& scan,
                            "', which is not a cache field requested by the "
                            "scan");
     }
+    MAXSON_RETURN_NOT_OK(check_order(leaf, storage::TypeKind::kString));
   }
   return Status::Ok();
 }

@@ -2,6 +2,7 @@
 
 #include <functional>
 #include <set>
+#include <utility>
 
 #include "common/string_util.h"
 
@@ -109,22 +110,17 @@ std::string UnqualifiedName(const ScanNode& scan, const std::string& name) {
   return name;
 }
 
-}  // namespace
-
-namespace {
-
-/// Peels numeric-cast wrappers: `to_int(col)` / `to_double(col)` compare
-/// like the column itself when the column's storage is numeric (typed cache
-/// columns, int64 raw columns), so the cast is transparent to row-group
-/// min/max pruning.
-const Expr* UnwrapNumericCast(const Expr* e) {
-  if (e->kind == ExprKind::kFunction &&
-      (e->func_name == "to_int" || e->func_name == "to_double") &&
-      e->children.size() == 1 &&
-      e->children[0]->kind == ExprKind::kColumnRef) {
-    return e->children[0].get();
-  }
-  return e;
+/// Reads `to_int(col)` / `to_double(col)` as the column and its cast; any
+/// other expression is returned unchanged with no cast.
+const Expr* UnwrapNumericCast(const Expr* e, storage::SargCast* cast) {
+  const bool unary_on_column = e->kind == ExprKind::kFunction &&
+                               e->children.size() == 1 &&
+                               e->children[0]->kind == ExprKind::kColumnRef;
+  *cast = !unary_on_column              ? storage::SargCast::kNone
+          : e->func_name == "to_int"    ? storage::SargCast::kToInt
+          : e->func_name == "to_double" ? storage::SargCast::kToDouble
+                                        : storage::SargCast::kNone;
+  return *cast == storage::SargCast::kNone ? e : e->children[0].get();
 }
 
 }  // namespace
@@ -135,36 +131,39 @@ void ExtractSargs(const Expr* where, ScanNode* scan) {
   CollectConjuncts(where, &conjuncts);
   for (const Expr* conjunct : conjuncts) {
     if (conjunct->kind != ExprKind::kBinary) continue;
-    const Expr* lhs = UnwrapNumericCast(conjunct->children[0].get());
-    const Expr* rhs = UnwrapNumericCast(conjunct->children[1].get());
-    const Expr* col = nullptr;
-    const Expr* lit = nullptr;
-    bool flipped = false;
-    if (lhs->kind == ExprKind::kColumnRef && rhs->kind == ExprKind::kLiteral) {
-      col = lhs;
-      lit = rhs;
-    } else if (rhs->kind == ExprKind::kColumnRef &&
-               lhs->kind == ExprKind::kLiteral) {
-      col = rhs;
-      lit = lhs;
-      flipped = true;
-    } else {
+    // `[cast(]column[)] op literal`, either way round.
+    storage::SargLeaf leaf;
+    storage::SargCast rhs_cast;
+    const Expr* col =
+        UnwrapNumericCast(conjunct->children[0].get(), &leaf.cast);
+    const Expr* lit = UnwrapNumericCast(conjunct->children[1].get(), &rhs_cast);
+    const bool flipped = col->kind == ExprKind::kLiteral;
+    if (flipped) {
+      std::swap(col, lit);
+      leaf.cast = rhs_cast;
+    }
+    if (col->kind != ExprKind::kColumnRef || lit->kind != ExprKind::kLiteral ||
+        !ToSargOp(conjunct->bin_op, flipped, &leaf.op)) {
       continue;
     }
-    storage::SargOp op;
-    if (!ToSargOp(conjunct->bin_op, flipped, &op)) continue;
-
-    const std::string bare = UnqualifiedName(*scan, col->column);
+    leaf.column = UnqualifiedName(*scan, col->column);
+    leaf.literal = lit->literal;
     // A raw table column?
-    if (scan->table_schema.FindField(bare) >= 0) {
-      scan->raw_sarg.AddLeaf(storage::SargLeaf{bare, op, lit->literal});
+    if (const int idx = scan->table_schema.FindField(leaf.column); idx >= 0) {
+      if (storage::PrunesInFilterOrder(
+              scan->table_schema.field(static_cast<size_t>(idx)).type, leaf)) {
+        scan->raw_sarg.AddLeaf(std::move(leaf));
+      }
       continue;
     }
-    // A cache output column? Push down on the cache field (Algorithm 3).
+    // A cache output column (get_json_object's text)? Push down on the
+    // cache field (Algorithm 3).
     for (const CacheColumnRequest& req : scan->cache_columns) {
-      if (req.output_name == col->column || req.output_name == bare) {
-        scan->cache_sarg.AddLeaf(
-            storage::SargLeaf{req.cache_field, op, lit->literal});
+      if (req.output_name == col->column || req.output_name == leaf.column) {
+        leaf.column = req.cache_field;
+        if (storage::PrunesInFilterOrder(TypeKind::kString, leaf)) {
+          scan->cache_sarg.AddLeaf(std::move(leaf));
+        }
         break;
       }
     }

@@ -46,10 +46,12 @@ int ResolveColumn(const storage::Schema& schema, const std::string& name);
 /// ambiguous names.
 Status BindExpr(Expr* expr, const storage::Schema& schema);
 
-/// Extracts SARG-able conjuncts (`column cmp literal` over plain column
-/// refs) from `where` into the scan's raw or cache SARG. Non-extractable
-/// conjuncts are simply left to the residual filter; extraction never
-/// removes anything from `where`.
+/// Extracts SARG-able conjuncts (`column cmp literal`, the column plain or
+/// under `to_int`/`to_double`) from `where` into the scan's raw or cache
+/// SARG when the bounds order them like the residual filter compares
+/// (storage::PrunesInFilterOrder). Non-extractable conjuncts are simply
+/// left to the residual filter; extraction never removes anything from
+/// `where`.
 void ExtractSargs(const Expr* where, ScanNode* scan);
 
 }  // namespace maxson::engine

@@ -25,42 +25,20 @@ using storage::Split;
 
 namespace {
 
-using storage::SargLeaf;
-using storage::SargOp;
 using storage::SearchArgument;
 using storage::TypeKind;
 
-/// Reconciles a SARG with the column types of the file it will prune:
-/// a numeric literal against a numeric column passes through; a string
-/// literal against a numeric column is coerced to numeric; a numeric
-/// literal against a string column is dropped (string-ordered min/max
-/// statistics cannot soundly bound numeric comparisons). Dropping a leaf
-/// only loses pruning — the residual filter re-checks every row.
-SearchArgument ReconcileSargWithSchema(const SearchArgument& sarg,
-                                       const Schema& schema) {
-  SearchArgument out;
-  for (const SargLeaf& leaf : sarg.leaves()) {
-    if (leaf.op == SargOp::kIsNull || leaf.op == SargOp::kIsNotNull) {
-      out.AddLeaf(leaf);
-      continue;
-    }
-    const int idx = schema.FindField(leaf.column);
-    if (idx < 0) continue;
-    const TypeKind type = schema.field(static_cast<size_t>(idx)).type;
-    const bool numeric_column = type != TypeKind::kString;
-    const bool numeric_literal =
-        leaf.literal.is_int64() || leaf.literal.is_double() ||
-        leaf.literal.is_bool();
-    if (numeric_column == numeric_literal) {
-      out.AddLeaf(leaf);
-    } else if (numeric_column) {
-      SargLeaf coerced = leaf;
-      coerced.literal = storage::Value::Double(leaf.literal.AsDouble());
-      out.AddLeaf(std::move(coerced));
-    }
-    // numeric literal vs string column: dropped.
-  }
-  return out;
+/// Corruption unless column `idx` of the file at `path` has the scan's
+/// output type: a file this build did not write (say, a typed cache column
+/// from an older build), which ScanSplit re-derives from raw.
+Status CheckColumnType(const Schema& file, int idx, TypeKind scan_type,
+                       const std::string& path) {
+  const storage::Field& field = file.field(static_cast<size_t>(idx));
+  if (field.type == scan_type) return Status::Ok();
+  return Status::Corruption("column " + field.name + " is " +
+                            storage::TypeKindName(field.type) + " in " +
+                            path + ", the scan reads " +
+                            storage::TypeKindName(scan_type));
 }
 
 /// A path set counts as selective — worth tape-cursoring instead of one
@@ -68,17 +46,6 @@ SearchArgument ReconcileSargWithSchema(const SearchArgument& sarg,
 /// the DOM parse amortizes better across paths (the Fig. 15 crossover;
 /// measured in bench/fig15_parsers.cc).
 constexpr size_t kOndemandMaxPaths = 4;
-
-/// Appends the cells of `src` to `dst`: a move when the types agree, else
-/// a per-cell conversion (a cache column typed numeric by the cacher is
-/// exposed as a string, like get_json_object's result).
-void AppendCells(storage::ColumnVector&& src, storage::ColumnVector* dst) {
-  if (src.type() == dst->type()) {
-    dst->AppendColumn(std::move(src));
-    return;
-  }
-  for (size_t r = 0; r < src.size(); ++r) dst->AppendValue(src.GetValue(r));
-}
 
 /// Reads one split, combining raw and cached columns — the cache half of
 /// Algorithm 2's value combiner; on cache corruption the caller retries
@@ -111,6 +78,8 @@ Status ScanSplitCached(const std::vector<exec::ColumnKey>& columns,
       return Status::NotFound("column " + columns[i].name + " missing in " +
                               path);
     }
+    MAXSON_RETURN_NOT_OK(
+        CheckColumnType(primary.schema(), idx, out->column(i).type(), path));
     raw_indexes.push_back(idx);
     raw_slots.push_back(i);
   }
@@ -127,12 +96,15 @@ Status ScanSplitCached(const std::vector<exec::ColumnKey>& columns,
       return Status::Internal("cache/raw row count mismatch on split " +
                               std::to_string(split_index));
     }
-    for (const exec::ColumnKey* key : cache_keys) {
-      const int idx = cache->schema().FindField(key->name);
+    for (size_t k = 0; k < cache_keys.size(); ++k) {
+      const int idx = cache->schema().FindField(cache_keys[k]->name);
       if (idx < 0) {
-        return Status::NotFound("cache field " + key->name + " missing in " +
-                                cache_path);
+        return Status::NotFound("cache field " + cache_keys[k]->name +
+                                " missing in " + cache_path);
       }
+      MAXSON_RETURN_NOT_OK(CheckColumnType(
+          cache->schema(), idx, out->column(cache_slots[k]).type(),
+          cache_path));
       cache_indexes.push_back(idx);
     }
   }
@@ -143,25 +115,10 @@ Status ScanSplitCached(const std::vector<exec::ColumnKey>& columns,
       cache != nullptr && cache->num_stripes() == primary.num_stripes() &&
       cache->footer().rows_per_group == primary.footer().rows_per_group;
 
-  // Reconcile every subscriber's SARG pair against the file schemas. When
-  // the stripe structures diverge, primary pruning is disabled entirely
-  // (a skipped group would shift the positional combiner below).
-  struct ReconciledPair {
-    SearchArgument raw;
-    SearchArgument cache;
-  };
-  std::vector<ReconciledPair> preds;
-  preds.reserve(predicates.size());
-  for (const exec::ScanPredicate& p : predicates) {
-    ReconciledPair rp;
-    rp.raw = (cache != nullptr && !aligned)
-                 ? SearchArgument()
-                 : ReconcileSargWithSchema(p.raw_sarg, primary.schema());
-    rp.cache = cache != nullptr
-                   ? ReconcileSargWithSchema(p.cache_sarg, cache->schema())
-                   : SearchArgument();
-    preds.push_back(std::move(rp));
-  }
+  // When the stripe structures diverge, primary pruning is disabled
+  // entirely (a skipped group would shift the positional combiner below).
+  const bool prune_raw = cache == nullptr || aligned;
+  const SearchArgument no_pruning;
 
   // When the two files' stripe structures diverge (the paper's alignment
   // optimization only covers single-stripe files), fall back to positional
@@ -191,17 +148,19 @@ Status ScanSplitCached(const std::vector<exec::ColumnKey>& columns,
     // SARGs additionally excluded.
     std::vector<bool> include;
     std::vector<bool> raw_union;
-    for (const ReconciledPair& rp : preds) {
-      MAXSON_ASSIGN_OR_RETURN(std::vector<bool> inc,
-                              primary.ComputeRowGroupInclusion(s, rp.raw));
+    for (const exec::ScanPredicate& p : predicates) {
+      MAXSON_ASSIGN_OR_RETURN(
+          std::vector<bool> inc,
+          primary.ComputeRowGroupInclusion(
+              s, prune_raw ? p.raw_sarg : no_pruning));
       if (raw_union.empty()) raw_union.assign(inc.size(), false);
       for (size_t g = 0; g < inc.size(); ++g) {
         if (inc[g]) raw_union[g] = true;
       }
-      if (aligned && !rp.cache.empty()) {
+      if (aligned && !p.cache_sarg.empty()) {
         MAXSON_ASSIGN_OR_RETURN(
             std::vector<bool> cache_include,
-            cache->ComputeRowGroupInclusion(s, rp.cache));
+            cache->ComputeRowGroupInclusion(s, p.cache_sarg));
         if (cache_include.size() == inc.size()) {
           for (size_t g = 0; g < inc.size(); ++g) {
             if (!cache_include[g]) inc[g] = false;
@@ -232,12 +191,7 @@ Status ScanSplitCached(const std::vector<exec::ColumnKey>& columns,
       } else {
         // Positional fallback: slice the pre-read cache rows matching this
         // stripe's absolute row range.
-        storage::Schema cache_schema;
-        for (size_t c = 0; c < cache_indexes.size(); ++c) {
-          cache_schema.AddField(cache_full.schema().field(c).name,
-                                cache_full.schema().field(c).type);
-        }
-        cache_batch = RecordBatch(cache_schema);
+        cache_batch = RecordBatch(cache_full.schema());
         // Cache-only scans read no raw columns; the stripe's row count
         // comes from the primary footer in that case.
         const size_t stripe_rows =
@@ -262,11 +216,11 @@ Status ScanSplitCached(const std::vector<exec::ColumnKey>& columns,
     // Value combiner: each decoded column lands in its output slot
     // (Algorithm 2's index-by-name step happened once, above).
     for (size_t c = 0; c < raw_slots.size(); ++c) {
-      AppendCells(std::move(raw_batch.column(c)), &out->column(raw_slots[c]));
+      out->column(raw_slots[c]).AppendColumn(std::move(raw_batch.column(c)));
     }
     for (size_t c = 0; c < cache_slots.size(); ++c) {
-      AppendCells(std::move(cache_batch.column(c)),
-                  &out->column(cache_slots[c]));
+      out->column(cache_slots[c])
+          .AppendColumn(std::move(cache_batch.column(c)));
     }
   }
   return Status::Ok();
@@ -304,6 +258,8 @@ Status ScanSplitRawFallback(const std::vector<exec::ColumnKey>& columns,
       if (idx < 0) {
         return Status::NotFound("column " + key.name + " missing in " + path);
       }
+      MAXSON_RETURN_NOT_OK(
+          CheckColumnType(primary.schema(), idx, out->column(i).type(), path));
       raw_indexes.push_back(idx);
       raw_slots.push_back(i);
       continue;
@@ -340,12 +296,6 @@ Status ScanSplitRawFallback(const std::vector<exec::ColumnKey>& columns,
       read_columns.push_back(src.column);
     }
   }
-  std::vector<SearchArgument> raw_sargs;
-  raw_sargs.reserve(predicates.size());
-  for (const exec::ScanPredicate& p : predicates) {
-    raw_sargs.push_back(ReconcileSargWithSchema(p.raw_sarg, primary.schema()));
-  }
-
   // Group the JSON-path sources by source column: a selective group
   // (1..kOndemandMaxPaths paths) re-derives through the on-demand tier
   // with one tape pass per record instead of one DOM parse per path.
@@ -378,9 +328,9 @@ Status ScanSplitRawFallback(const std::vector<exec::ColumnKey>& columns,
 
   for (size_t s = 0; s < primary.num_stripes(); ++s) {
     std::vector<bool> include;
-    for (const SearchArgument& raw_sarg : raw_sargs) {
+    for (const exec::ScanPredicate& p : predicates) {
       MAXSON_ASSIGN_OR_RETURN(std::vector<bool> inc,
-                              primary.ComputeRowGroupInclusion(s, raw_sarg));
+                              primary.ComputeRowGroupInclusion(s, p.raw_sarg));
       if (include.empty()) include.assign(inc.size(), false);
       for (size_t g = 0; g < inc.size(); ++g) {
         if (inc[g]) include[g] = true;
@@ -489,7 +439,7 @@ Status ScanSplit(const std::vector<exec::ColumnKey>& columns,
 
 /// Schema of a pass's union batch: one column per union key, in order.
 /// Types mirror ScanOutputSchema (raw columns by the table schema, cache
-/// columns as strings), so subscribers append whole columns unconverted.
+/// columns as strings, like the files), so whole columns move unconverted.
 Schema UnionSchema(const std::vector<exec::ColumnKey>& columns,
                    const Schema& table_schema) {
   Schema out;

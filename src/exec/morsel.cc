@@ -1,7 +1,9 @@
 #include "exec/morsel.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <utility>
 
 namespace maxson::exec {
@@ -34,8 +36,15 @@ void AppendSarg(const SearchArgument& sarg, std::string* out) {
     out->push_back(kFieldSep);
     out->append(std::to_string(static_cast<int>(leaf.op)));
     out->push_back(kFieldSep);
+    out->append(std::to_string(static_cast<int>(leaf.cast)));
+    out->push_back(kFieldSep);
     out->push_back(TypeTag(leaf.literal));
-    out->append(leaf.literal.ToString());
+    // Doubles by bit pattern: ToString's %.6g gives 1.0000001 and 1.0000002
+    // one key.
+    out->append(leaf.literal.is_double()
+                    ? std::to_string(std::bit_cast<uint64_t>(
+                          leaf.literal.double_value()))
+                    : leaf.literal.ToString());
   }
 }
 

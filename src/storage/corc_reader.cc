@@ -44,8 +44,10 @@ uint32_t GetU32(const char* p) {
 /// mixed-type fallback is textual — an Int64-boxed 1234567 renders as
 /// "1234567" while the Double it stood for renders as "1.23457e+06" — so a
 /// drifted type can misorder against a string literal and prune a row group
-/// that actually contains matching rows. Null stays null (all-null groups
-/// carry no min/max); any other mismatch is corruption, not a guess.
+/// that actually contains matching rows. A string column's stats are
+/// strings, or Doubles for a group whose every value parses as a number.
+/// Null stays null (all-null groups carry no min/max); any other mismatch
+/// is corruption, not a guess.
 Status CoerceStat(TypeKind type, Value* v, const std::string& path) {
   if (v->is_null()) return Status::Ok();
   switch (type) {
@@ -55,15 +57,15 @@ Status CoerceStat(TypeKind type, Value* v, const std::string& path) {
     case TypeKind::kInt64:
       if (v->is_int64()) return Status::Ok();
       break;
+    case TypeKind::kString:
+      if (v->is_string()) return Status::Ok();
+      [[fallthrough]];  // numeric bounds
     case TypeKind::kDouble:
       if (v->is_double()) return Status::Ok();
       if (v->is_int64()) {
         *v = Value::Double(static_cast<double>(v->int64_value()));
         return Status::Ok();
       }
-      break;
-    case TypeKind::kString:
-      if (v->is_string()) return Status::Ok();
       break;
   }
   return Status::Corruption("footer stat type disagrees with column type in " +
@@ -276,6 +278,13 @@ Status CorcReader::Open() {
         rg.stats.max = JsonToValue(*max);
         MAXSON_RETURN_NOT_OK(CoerceStat(col_type, &rg.stats.min, path_));
         MAXSON_RETURN_NOT_OK(CoerceStat(col_type, &rg.stats.max, path_));
+        // One pair, in one ordering: both null, both strings or both
+        // numbers.
+        if (rg.stats.min.is_null() != rg.stats.max.is_null() ||
+            rg.stats.min.is_string() != rg.stats.max.is_string()) {
+          return Status::Corruption("mixed min/max stat pair in footer of " +
+                                    path_);
+        }
         rg.stats.null_count = static_cast<uint64_t>(nulls->int_value());
         rg.stats.value_count = static_cast<uint64_t>(values->int_value());
         chunk.row_groups.push_back(std::move(rg));

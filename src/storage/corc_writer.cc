@@ -1,7 +1,9 @@
 #include "storage/corc_writer.h"
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 
 #include "common/logging.h"
 #include "json/json_value.h"
@@ -113,17 +115,6 @@ Status CorcWriter::AppendRow(const std::vector<Value>& row) {
   return Status::Ok();
 }
 
-namespace {
-
-/// Folds a candidate into the running min/max with ColumnStats::Update's
-/// tie-breaking (first value wins on Compare() == 0).
-void FoldMinMax(const Value& v, ColumnStats* stats) {
-  if (stats->min.is_null() || v.Compare(stats->min) < 0) stats->min = v;
-  if (stats->max.is_null() || v.Compare(stats->max) > 0) stats->max = v;
-}
-
-}  // namespace
-
 Status CorcWriter::EncodeRowGroup(const ColumnVector& column, size_t begin,
                                   size_t end, std::string* out,
                                   ColumnStats* stats) const {
@@ -133,9 +124,18 @@ Status CorcWriter::EncodeRowGroup(const ColumnVector& column, size_t begin,
     for (size_t i = begin; i < end; ++i) {
       out->push_back(column.IsNull(i) ? 1 : 0);
     }
+    // A group whose every value parses as a finite number (the conversion
+    // to_int/to_double apply) gets numeric bounds, so a cast comparison can
+    // prune it in numeric order; any other group keeps lexicographic ones.
+    const std::string* lo = nullptr;
+    const std::string* hi = nullptr;
+    bool numeric = true;
+    double num_lo = std::numeric_limits<double>::infinity();
+    double num_hi = -num_lo;
     for (size_t i = begin; i < end; ++i) {
-      stats->Update(column.GetValue(i));
+      ++stats->value_count;
       if (column.IsNull(i)) {
+        ++stats->null_count;
         PutU32(0, out);  // null slots still encode a zero length
         continue;
       }
@@ -146,6 +146,16 @@ Status CorcWriter::EncodeRowGroup(const ColumnVector& column, size_t begin,
       MAXSON_RETURN_NOT_OK(ValidateCorcStringSize(s.size()));
       PutU32(static_cast<uint32_t>(s.size()), out);
       out->append(s);
+      double d = 0.0;
+      numeric = numeric && ParseFiniteNumber(s, &d);
+      num_lo = std::min(num_lo, d);
+      num_hi = std::max(num_hi, d);
+      if (lo == nullptr || s < *lo) lo = &s;
+      if (hi == nullptr || s > *hi) hi = &s;
+    }
+    if (lo != nullptr) {
+      stats->min = numeric ? Value::Double(num_lo) : Value::String(*lo);
+      stats->max = numeric ? Value::Double(num_hi) : Value::String(*hi);
     }
     return Status::Ok();
   }
@@ -166,7 +176,8 @@ Status CorcWriter::EncodeRowGroup(const ColumnVector& column, size_t begin,
       out->append(reinterpret_cast<const char*>(column.bools().data() + begin),
                   rows);
       for (size_t i = begin; i < end; ++i) {
-        if (!column.IsNull(i)) FoldMinMax(Value::Bool(column.GetBool(i)), stats);
+        if (column.IsNull(i)) continue;
+        stats->FoldMinMax(Value::Bool(column.GetBool(i)));
       }
       break;
     }
@@ -177,12 +188,12 @@ Status CorcWriter::EncodeRowGroup(const ColumnVector& column, size_t begin,
         int64_t mn;
         int64_t mx;
         simd::MinMaxInt64(values, rows, &mn, &mx);
-        FoldMinMax(Value::Int64(mn), stats);
-        FoldMinMax(Value::Int64(mx), stats);
+        stats->FoldMinMax(Value::Int64(mn));
+        stats->FoldMinMax(Value::Int64(mx));
       } else {
         for (size_t i = begin; i < end; ++i) {
           if (!column.IsNull(i)) {
-            FoldMinMax(Value::Int64(column.GetInt64(i)), stats);
+            stats->FoldMinMax(Value::Int64(column.GetInt64(i)));
           }
         }
       }
@@ -195,14 +206,14 @@ Status CorcWriter::EncodeRowGroup(const ColumnVector& column, size_t begin,
         double mn;
         double mx;
         simd::MinMaxDouble(values, rows, &mn, &mx);
-        FoldMinMax(Value::Double(mn), stats);
-        FoldMinMax(Value::Double(mx), stats);
+        stats->FoldMinMax(Value::Double(mn));
+        stats->FoldMinMax(Value::Double(mx));
       } else {
         for (size_t i = begin; i < end; ++i) {
           if (column.IsNull(i)) continue;
           double v = column.GetDouble(i);
           if (v == 0.0) v = 0.0;  // match the kernel's +0.0 canonicalization
-          FoldMinMax(Value::Double(v), stats);
+          stats->FoldMinMax(Value::Double(v));
         }
       }
       break;

@@ -22,8 +22,8 @@ struct CorcWriterOptions {
   uint32_t rows_per_stripe = 1u << 20;
   /// Output format version: kCorcVersionV3 (adaptive chunk encodings) or
   /// kCorcVersion (v2, plain chunks — byte-identical to pre-encoding
-  /// writers, for cross-version matrices and the `set corcencoding off`
-  /// session knob). Other values are rejected at Open().
+  /// writers, for cross-version matrices). Other values are rejected at
+  /// Open().
   uint32_t format_version = kCorcVersionV3;
 };
 

@@ -20,6 +20,8 @@ struct ColumnStats {
 
   /// Folds one cell into the statistics.
   void Update(const Value& v);
+  /// Folds a non-null value into min/max only (the first of equals wins).
+  void FoldMinMax(const Value& v);
 };
 
 /// Three-valued answer of a SARG test against row-group statistics.
@@ -40,12 +42,23 @@ enum class SargOp {
   kIsNotNull,
 };
 
-/// One leaf predicate: `column <op> literal`.
+/// The cast the residual filter applies to a leaf's column before it
+/// compares: SQL `to_int` (CastToInt) or `to_double` (CastToDouble).
+enum class SargCast : uint8_t { kNone, kToInt, kToDouble };
+
+/// One leaf predicate: `cast(column) <op> literal`.
 struct SargLeaf {
   std::string column;
   SargOp op = SargOp::kEq;
   Value literal;
+  SargCast cast = SargCast::kNone;
 };
+
+/// Whether row-group bounds order `leaf` the way the residual filter
+/// compares it on a `column_type` column: a numeric literal through a cast
+/// or on a numeric column, a string literal on an uncast string column, or
+/// a NULL test. Other pairings compare textually, which no bound orders.
+bool PrunesInFilterOrder(TypeKind column_type, const SargLeaf& leaf);
 
 /// Search ARGument: a conjunction of leaf predicates, the simplified
 /// expression form that readers push down to row-group indexes (Section
@@ -59,7 +72,8 @@ class SearchArgument {
   const std::vector<SargLeaf>& leaves() const { return leaves_; }
   bool empty() const { return leaves_.empty(); }
 
-  /// Tests one leaf against the statistics of its column.
+  /// Tests one leaf against the statistics of its column, casting the
+  /// bounds like the leaf's column.
   static SargResult EvaluateLeaf(const SargLeaf& leaf,
                                  const ColumnStats& stats);
 

@@ -1,6 +1,8 @@
 #include "storage/types.h"
 
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 
 namespace maxson::storage {
 
@@ -72,10 +74,25 @@ int Value::Compare(const Value& other) const {
   return a.compare(b);
 }
 
-size_t Value::ByteSize() const {
-  if (is_string()) return string_value().size();
-  if (is_null()) return 1;
-  return 8;
+bool ParseFiniteNumber(const std::string& text, double* out) {
+  char* end = nullptr;
+  *out = std::strtod(text.c_str(), &end);
+  return end != text.c_str() && end == text.c_str() + text.size() &&
+         std::isfinite(*out);
+}
+
+Value CastToDouble(const Value& v) {
+  return v.is_null() ? Value::Null() : Value::Double(v.AsDouble());
+}
+
+Value CastToInt(const Value& v) {
+  if (v.is_null() || v.is_int64()) return v;
+  // [-2^63, 2^63) holds every double whose truncation fits in int64; NaN
+  // fails both comparisons.
+  const double d = v.AsDouble();
+  return d >= -9223372036854775808.0 && d < 9223372036854775808.0
+             ? Value::Int64(static_cast<int64_t>(d))
+             : Value::Null();
 }
 
 }  // namespace maxson::storage

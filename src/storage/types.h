@@ -8,7 +8,8 @@
 namespace maxson::storage {
 
 /// Column types supported by the warehouse. JSON payload columns are kString
-/// (the paper: "JSON data is often stored as String Types").
+/// (the paper: "JSON data is often stored as String Types"). Declared in
+/// widening order.
 enum class TypeKind : uint8_t {
   kBool = 0,
   kInt64 = 1,
@@ -53,14 +54,22 @@ class Value {
   bool operator==(const Value& other) const { return Compare(other) == 0; }
   bool operator<(const Value& other) const { return Compare(other) < 0; }
 
-  /// Approximate in-memory footprint in bytes (used for cache budgeting).
-  size_t ByteSize() const;
-
  private:
   using Storage = std::variant<std::monostate, bool, int64_t, double, std::string>;
   explicit Value(Storage v) : v_(std::move(v)) {}
   Storage v_;
 };
+
+/// True when all of `text` converts to a finite number `*out` under
+/// AsDouble's strtod: not "", "12abc", "nan" or "inf".
+bool ParseFiniteNumber(const std::string& text, double* out);
+
+/// SQL `to_double`: AsDouble; NULL stays NULL.
+Value CastToDouble(const Value& v);
+
+/// SQL `to_int`: int64 unchanged, anything else AsDouble truncated toward
+/// zero. NULL, NaN and values outside the int64 range give NULL.
+Value CastToInt(const Value& v);
 
 }  // namespace maxson::storage
 

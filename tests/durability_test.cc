@@ -18,6 +18,8 @@
 #include "core/maxson.h"
 #include "gtest/gtest.h"
 #include "storage/corc_format.h"
+#include "storage/corc_reader.h"
+#include "storage/corc_writer.h"
 #include "storage/file_system.h"
 #include "workload/data_generator.h"
 
@@ -337,76 +339,6 @@ TEST_F(DurabilityTest, ShortReadSurfacesAsCorruptionAndFallsBack) {
   ExpectSameRows(result, expected, "short-read");
 }
 
-TEST_F(DurabilityTest, CorcEncodingKnobSwitchesCacheFormatAndPreservesRows) {
-  // The corcencoding session knob selects the cache file format: off writes
-  // v2 files byte-compatible with pre-encoding builds, on (the default)
-  // writes v3 with adaptively encoded chunks. Query results must be
-  // identical in both modes, and a v3 cache must keep serving after the
-  // knob is turned off (readers never depend on the writer-side setting).
-  MakeTable("t", 1400);
-  MaxsonSession session = MakeSession();
-  FeedDailyHistory(&session, "t", {"$.f0", "$.f1"}, 14);
-  ASSERT_TRUE(session.TrainPredictor(8, 13).ok());
-
-  const std::string sql =
-      "SELECT id, get_json_object(payload, '$.f0'), "
-      "get_json_object(payload, '$.f1') FROM db.t";
-  auto expected = session.ExecuteWithoutCache(sql);
-  ASSERT_TRUE(expected.ok()) << expected.status();
-
-  auto cache_magics = [&]() {
-    auto splits = FileSystem::ListSplits(root_ + "/cache/db.t");
-    EXPECT_TRUE(splits.ok());
-    std::vector<std::string> magics;
-    for (const auto& split : *splits) {
-      magics.push_back(ReadBytes(split.path).substr(0, storage::kCorcMagicLen));
-    }
-    return magics;
-  };
-
-  // Knob off: the cycle rewrites the cache in the v2 layout.
-  core::SessionUpdate off;
-  off.corc_encoding = false;
-  ASSERT_TRUE(session.UpdateConfig(off).ok());
-  EXPECT_FALSE(session.stats().corc_encoding_enabled);
-  ASSERT_TRUE(session.RunMidnightCycle(14).ok());
-  std::vector<std::string> magics = cache_magics();
-  ASSERT_FALSE(magics.empty());
-  for (const std::string& magic : magics) EXPECT_EQ(magic, "CORC2");
-  auto v2_result = session.Execute(sql);
-  ASSERT_TRUE(v2_result.ok()) << v2_result.status();
-  EXPECT_EQ(v2_result->metrics.cache_corruption_fallbacks, 0u);
-  ExpectSameRows(v2_result, expected, "v2 cache");
-
-  // Knob back on: the next cycle produces v3 files and the encoding
-  // byte-accounting metrics start moving.
-  const uint64_t encoded_before =
-      session.metrics().GetCounter("maxson_corc_encoded_bytes_total")->value();
-  core::SessionUpdate on;
-  on.corc_encoding = true;
-  ASSERT_TRUE(session.UpdateConfig(on).ok());
-  EXPECT_TRUE(session.stats().corc_encoding_enabled);
-  ASSERT_TRUE(session.RunMidnightCycle(14).ok());
-  magics = cache_magics();
-  ASSERT_FALSE(magics.empty());
-  for (const std::string& magic : magics) EXPECT_EQ(magic, "CORC3");
-  EXPECT_GT(
-      session.metrics().GetCounter("maxson_corc_encoded_bytes_total")->value(),
-      encoded_before);
-  auto v3_result = session.Execute(sql);
-  ASSERT_TRUE(v3_result.ok()) << v3_result.status();
-  EXPECT_EQ(v3_result->metrics.cache_corruption_fallbacks, 0u);
-  ExpectSameRows(v3_result, expected, "v3 cache");
-
-  // A v3 cache written earlier must survive flipping the knob off: the
-  // format version is a writer option, never a read-path gate.
-  ASSERT_TRUE(session.UpdateConfig(off).ok());
-  auto mixed = session.Execute(sql);
-  ASSERT_TRUE(mixed.ok()) << mixed.status();
-  EXPECT_EQ(mixed->metrics.cache_corruption_fallbacks, 0u);
-  ExpectSameRows(mixed, expected, "v3 cache, knob off");
-}
-
 TEST_F(DurabilityTest, EncodedCacheCorruptionStillFallsBackToRaw) {
   // Bit damage inside an ENCODED (v3) chunk must behave exactly like plain
   // chunk damage: checksum or decode rejection, silent fallback to raw
@@ -446,6 +378,62 @@ TEST_F(DurabilityTest, EncodedCacheCorruptionStillFallsBackToRaw) {
   auto healed = session.Execute(sql);
   ASSERT_TRUE(healed.ok()) << healed.status();
   EXPECT_EQ(healed->metrics.cache_corruption_fallbacks, 0u);
+}
+
+TEST_F(DurabilityTest, TypedCacheFileFromOlderBuildFallsBackToRaw) {
+  // Older builds stored numeric paths in int64 cache columns, and the
+  // registry outlives the process (registry_path). Such a file is not one
+  // this build writes: the scan must report it as corruption and re-derive
+  // the split from raw, never abort on the type mismatch.
+  MakeTable("t", 1400);
+  MaxsonSession session = MakeSession();
+  FeedDailyHistory(&session, "t", {"$.f0", "$.f1"}, 14);
+  ASSERT_TRUE(session.TrainPredictor(8, 13).ok());
+  ASSERT_TRUE(session.RunMidnightCycle(14).ok());
+
+  const std::string sql =
+      "SELECT id, get_json_object(payload, '$.f0'), "
+      "get_json_object(payload, '$.f1') FROM db.t";
+  auto expected = session.ExecuteWithoutCache(sql);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+
+  auto cache_splits = FileSystem::ListSplits(root_ + "/cache/db.t");
+  ASSERT_TRUE(cache_splits.ok());
+  ASSERT_FALSE(cache_splits->empty());
+  const std::string victim = (*cache_splits)[0].path;
+  storage::CorcReader reader(victim);
+  ASSERT_TRUE(reader.Open().ok());
+  const uint32_t rows_per_group = reader.footer().rows_per_group;
+  auto batch = reader.ReadAll(nullptr);
+  ASSERT_TRUE(batch.ok()) << batch.status();
+  const int f0 = batch->schema().FindField(
+      core::CacheFieldName("payload", "$.f0"));
+  ASSERT_GE(f0, 0);
+  storage::Schema typed;
+  for (const storage::Field& field : batch->schema().fields()) {
+    typed.AddField(field.name, field.name == batch->schema().field(f0).name
+                                   ? storage::TypeKind::kInt64
+                                   : field.type);
+  }
+  storage::CorcWriterOptions options;
+  options.rows_per_group = rows_per_group;
+  storage::CorcWriter writer(victim, typed, options);
+  ASSERT_TRUE(writer.Open().ok());
+  for (size_t r = 0; r < batch->num_rows(); ++r) {
+    std::vector<storage::Value> row = batch->GetRow(r);
+    const storage::Value& text = row[static_cast<size_t>(f0)];
+    if (!text.is_null()) {
+      row[static_cast<size_t>(f0)] = storage::Value::Int64(
+          std::stoll(text.string_value()));
+    }
+    ASSERT_TRUE(writer.AppendRow(row).ok());
+  }
+  ASSERT_TRUE(writer.Close().ok());
+
+  auto result = session.Execute(sql);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->metrics.cache_corruption_fallbacks, 1u);
+  ExpectSameRows(result, expected, "typed cache file");
 }
 
 TEST_F(DurabilityTest, UpdateConfigRejectsMalformedFaultSpecs) {

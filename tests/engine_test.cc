@@ -403,6 +403,26 @@ TEST_F(EngineTest, PlanExposesScanColumns) {
   EXPECT_EQ(plan->scan.raw_sarg.leaves()[0].column, "date");
 }
 
+TEST_F(EngineTest, SargsArePushedOnlyInTheFiltersOrder) {
+  // `date` is int64 and `sale_logs` a string: only comparisons the bounds
+  // order like the residual filter are pushed, casts recorded on the leaf.
+  QueryEngine engine(&catalog_, EngineConfig{});
+  auto plan = engine.Plan(
+      "SELECT date FROM mydb.T WHERE to_int(date) > 5 AND date < '9' AND "
+      "sale_logs > 5 AND to_double(sale_logs) <= 2.5 AND sale_logs = 'x' "
+      "AND to_int(sale_logs) = 'x'");
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  const auto& leaves = plan->scan.raw_sarg.leaves();
+  ASSERT_EQ(leaves.size(), 3u);
+  EXPECT_EQ(leaves[0].column, "date");
+  EXPECT_EQ(leaves[0].cast, storage::SargCast::kToInt);
+  EXPECT_EQ(leaves[1].column, "sale_logs");
+  EXPECT_EQ(leaves[1].cast, storage::SargCast::kToDouble);
+  EXPECT_EQ(leaves[2].column, "sale_logs");
+  EXPECT_EQ(leaves[2].cast, storage::SargCast::kNone);
+  EXPECT_TRUE(leaves[2].literal.is_string());
+}
+
 TEST_F(EngineTest, MetricsBreakdownIsConsistent) {
   QueryEngine engine(&catalog_, EngineConfig{});
   QueryResult r = MustExecute(

@@ -11,6 +11,7 @@
 #include "common/random.h"
 #include "core/cacher.h"
 #include "core/maxson.h"
+#include "engine/fingerprint.h"
 #include "gtest/gtest.h"
 #include "storage/corc_reader.h"
 #include "storage/corc_writer.h"
@@ -381,8 +382,10 @@ TEST_F(IntegrationTest, MisonBackendEndToEndMatchesDom) {
 }
 
 TEST_F(IntegrationTest, TypedCacheColumnsGetNumericStats) {
-  // $.f0 is integral in every record, so the cacher must store it in a
-  // typed column whose min/max are numeric (enabling correct pushdown).
+  // Cache fields hold get_json_object's text. $.f0 (the row counter)
+  // parses as a number in every record, so its row groups carry numeric
+  // bounds and `to_int(...) > N` still prunes them; $.f1 ("catK") keeps
+  // lexicographic bounds.
   MakeTable("t", 1400);
   MaxsonSession session = MakeSession();
   FeedDailyHistory(&session, "t", {"$.f0", "$.f1"}, 14);
@@ -400,16 +403,30 @@ TEST_F(IntegrationTest, TypedCacheColumnsGetNumericStats) {
   ASSERT_GE(f0, 0);
   ASSERT_GE(f1, 0);
   EXPECT_EQ(reader.schema().field(static_cast<size_t>(f0)).type,
-            storage::TypeKind::kInt64);
+            storage::TypeKind::kString);
   EXPECT_EQ(reader.schema().field(static_cast<size_t>(f1)).type,
             storage::TypeKind::kString);
-  const auto& stats = reader.footer()
-                          .stripes[0]
-                          .columns[static_cast<size_t>(f0)]
-                          .row_groups[0]
-                          .stats;
-  EXPECT_TRUE(stats.min.is_int64());
-  EXPECT_TRUE(stats.max.is_int64());
+  const auto& columns = reader.footer().stripes[0].columns;
+  const auto& f0_stats = columns[static_cast<size_t>(f0)].row_groups[0].stats;
+  const auto& f1_stats = columns[static_cast<size_t>(f1)].row_groups[0].stats;
+  EXPECT_TRUE(f0_stats.min.is_double());
+  EXPECT_TRUE(f0_stats.max.is_double());
+  EXPECT_EQ(f0_stats.min.double_value(), 0.0);
+  EXPECT_EQ(f0_stats.max.double_value(), 99.0);
+  EXPECT_TRUE(f1_stats.min.is_string());
+  EXPECT_TRUE(f1_stats.max.is_string());
+
+  const std::string sql =
+      "SELECT id, get_json_object(payload, '$.f0') AS v FROM db.t "
+      "WHERE to_int(get_json_object(payload, '$.f0')) > 1250";
+  auto cached = session.Execute(sql);
+  ASSERT_TRUE(cached.ok()) << cached.status();
+  EXPECT_GT(cached->metrics.shared_skips, 0u);
+  auto plain = session.ExecuteWithoutCache(sql);
+  ASSERT_TRUE(plain.ok()) << plain.status();
+  EXPECT_EQ(cached->batch.num_rows(), 149u);
+  EXPECT_EQ(engine::FingerprintHash(cached->batch),
+            engine::FingerprintHash(plain->batch));
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 
 #include "catalog/catalog.h"
 #include "engine/engine.h"
+#include "engine/explain.h"
 #include "engine/plan.h"
 #include "gtest/gtest.h"
 #include "obs/metrics_registry.h"
@@ -115,6 +116,70 @@ TEST(PlanValidatorTest, RawSargOnUnknownColumnFails) {
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.message().find("[pushdown-soundness]"), std::string::npos)
       << status;
+}
+
+TEST(PlanValidatorTest, PushdownLeavesCompareInTheirBoundsClass) {
+  // A leaf must order like the residual filter compares: a numeric literal
+  // reaches a string column (every cache field, raw `payload`) only
+  // through a cast, and a string literal only an uncast string column.
+  using storage::SargCast;
+  using storage::SargLeaf;
+  using storage::SargOp;
+  struct Shape {
+    bool cache;  // cache SARG (on payload___f0) or raw SARG
+    SargLeaf leaf;
+    bool accepted;
+  };
+  const Shape shapes[] = {
+      {true, {"payload___f0", SargOp::kGt, Value::Int64(10000)}, false},
+      {true,
+       {"payload___f0", SargOp::kEq, Value::String("05"), SargCast::kToInt},
+       false},
+      {false, {"payload", SargOp::kLt, Value::Double(2.5)}, false},
+      {false, {"id", SargOp::kEq, Value::String("5")}, false},
+      {false,
+       {"payload", SargOp::kEq, Value::String("a"), SargCast::kToDouble},
+       false},
+      {true,
+       {"payload___f0", SargOp::kGt, Value::Int64(43), SargCast::kToInt},
+       true},
+      {true, {"payload___f0", SargOp::kEq, Value::String("05")}, true},
+      {false, {"payload", SargOp::kGe, Value::String("a")}, true},
+      {false,
+       {"payload", SargOp::kLt, Value::Double(2.5), SargCast::kToDouble},
+       true},
+      {false, {"id", SargOp::kGt, Value::Int64(7)}, true},
+      {false, {"id", SargOp::kGt, Value::Double(7.5), SargCast::kToInt}, true},
+      {false, {"date", SargOp::kIsNull, Value::Null()}, true},
+  };
+  for (const Shape& shape : shapes) {
+    PhysicalPlan plan = MakeValidPlan();
+    plan.scan.cache_columns.push_back(
+        CacheRequest("/cache/db.t", "payload___f0"));
+    (shape.cache ? plan.scan.cache_sarg : plan.scan.raw_sarg)
+        .AddLeaf(shape.leaf);
+    const Status status = ValidatePlan(plan, nullptr);
+    EXPECT_EQ(status.ok(), shape.accepted)
+        << shape.leaf.column << ": " << status;
+    if (!shape.accepted) {
+      EXPECT_NE(status.message().find("[pushdown-soundness]"),
+                std::string::npos)
+          << status;
+    }
+  }
+  // EXPLAIN shows the cast the leaf prunes through.
+  PhysicalPlan plan = MakeValidPlan();
+  plan.scan.cache_columns.push_back(
+      CacheRequest("/cache/db.t", "payload___f0"));
+  plan.scan.cache_sarg.AddLeaf(
+      {"payload___f0", SargOp::kGt, Value::Int64(43), SargCast::kToInt});
+  std::string explain;
+  for (const std::string& line : RenderPlanTree(plan, nullptr)) {
+    explain += line + "\n";
+  }
+  EXPECT_NE(explain.find("cache sarg: to_int(payload___f0) > 43"),
+            std::string::npos)
+      << explain;
 }
 
 TEST(PlanValidatorTest, FilterProjectSchemaMismatchFails) {

@@ -153,6 +153,26 @@ ScanPredicate PredicateLt(const std::string& column, int64_t literal) {
   return predicate;
 }
 
+TEST(ScanPredicateTest, KeysTellApartCastsAndNearbyDoubles) {
+  // Equal keys share one pass's pruning, so SARGs that prune differently
+  // need different keys: a cast changes the bounds compared, and %.6g
+  // renders 1.0000001 and 1.0000002 alike.
+  auto key = [](storage::SargCast cast, double literal) {
+    storage::SearchArgument sarg;
+    sarg.AddLeaf({"v", storage::SargOp::kGt, storage::Value::Double(literal),
+                  cast});
+    return ScanPredicate::KeyFor(sarg, storage::SearchArgument());
+  };
+  EXPECT_NE(key(storage::SargCast::kNone, 5.0),
+            key(storage::SargCast::kToInt, 5.0));
+  EXPECT_NE(key(storage::SargCast::kToInt, 5.0),
+            key(storage::SargCast::kToDouble, 5.0));
+  EXPECT_NE(key(storage::SargCast::kNone, 1.0000001),
+            key(storage::SargCast::kNone, 1.0000002));
+  EXPECT_EQ(key(storage::SargCast::kToInt, 2.5),
+            key(storage::SargCast::kToInt, 2.5));
+}
+
 TEST(SharedScanManagerTest, StagedSubscribersCoalesceToOnePassPerMorsel) {
   SharedScanManager manager;
   const auto morsels = MakeMorsels(3);

@@ -4,7 +4,10 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/random.h"
 #include "gtest/gtest.h"
@@ -1272,6 +1275,78 @@ TEST(CorcEncodingTest, HostileV3FooterEncodingFieldsAreRejected) {
   }
 }
 
+TEST(SargTest, CastLeavesCompareCastBounds) {
+  // One group holding 2.9 and 2.95: to_int makes both 2, so `to_int(v) = 2`
+  // matches every row although the uncast bounds exclude 2.
+  ColumnStats fractions;
+  fractions.Update(Value::Double(2.9));
+  fractions.Update(Value::Double(2.95));
+  SargLeaf to_int_eq{"v", SargOp::kEq, Value::Int64(2), SargCast::kToInt};
+  EXPECT_EQ(SearchArgument::EvaluateLeaf(to_int_eq, fractions),
+            SargResult::kMaybe);
+  SargLeaf uncast_eq{"v", SargOp::kEq, Value::Int64(2)};
+  EXPECT_EQ(SearchArgument::EvaluateLeaf(uncast_eq, fractions),
+            SargResult::kNo);
+  SargLeaf to_int_lt{"v", SargOp::kLt, Value::Double(2.5), SargCast::kToInt};
+  EXPECT_EQ(SearchArgument::EvaluateLeaf(to_int_lt, fractions),
+            SargResult::kMaybe);
+  SargLeaf to_int_gt{"v", SargOp::kGt, Value::Int64(2), SargCast::kToInt};
+  EXPECT_EQ(SearchArgument::EvaluateLeaf(to_int_gt, fractions),
+            SargResult::kNo);
+  SargLeaf to_double_gt{"v", SargOp::kGt, Value::Double(2.92),
+                        SargCast::kToDouble};
+  EXPECT_EQ(SearchArgument::EvaluateLeaf(to_double_gt, fractions),
+            SargResult::kMaybe);
+
+  // Truncation toward zero raises negative values: to_int(-2.3) = -2.
+  ColumnStats negative;
+  negative.Update(Value::Double(-2.9));
+  negative.Update(Value::Double(-2.3));
+  SargLeaf neg_gt{"v", SargOp::kGt, Value::Double(-2.2), SargCast::kToInt};
+  EXPECT_EQ(SearchArgument::EvaluateLeaf(neg_gt, negative),
+            SargResult::kMaybe);
+
+  // Bounds to_int cannot represent bound nothing; string bounds never
+  // order a cast; a cast compared with a string literal compares text.
+  ColumnStats huge;
+  huge.Update(Value::Double(1.0));
+  huge.Update(Value::Double(1e30));
+  SargLeaf huge_lt{"v", SargOp::kLt, Value::Int64(0), SargCast::kToInt};
+  EXPECT_EQ(SearchArgument::EvaluateLeaf(huge_lt, huge), SargResult::kMaybe);
+  ColumnStats text;
+  text.Update(Value::String("10"));
+  text.Update(Value::String("abc"));
+  SargLeaf text_gt{"v", SargOp::kGt, Value::Int64(500), SargCast::kToInt};
+  EXPECT_EQ(SearchArgument::EvaluateLeaf(text_gt, text), SargResult::kMaybe);
+  SargLeaf cast_text{"v", SargOp::kEq, Value::String("zzz"),
+                     SargCast::kToInt};
+  EXPECT_EQ(SearchArgument::EvaluateLeaf(cast_text, text), SargResult::kMaybe);
+}
+
+TEST(ValueTest, CastsAreDefinedForEveryInput) {
+  EXPECT_TRUE(CastToInt(Value::Null()).is_null());
+  EXPECT_EQ(CastToInt(Value::String("2.95")).int64_value(), 2);
+  EXPECT_EQ(CastToInt(Value::String("-2.95")).int64_value(), -2);
+  EXPECT_EQ(CastToInt(Value::Int64(INT64_MAX)).int64_value(), INT64_MAX);
+  EXPECT_EQ(CastToInt(Value::Bool(true)).int64_value(), 1);
+  EXPECT_TRUE(CastToInt(Value::String("nan")).is_null());
+  EXPECT_TRUE(CastToInt(Value::String("1e19")).is_null());
+  EXPECT_TRUE(CastToInt(Value::Double(-1e19)).is_null());
+  EXPECT_EQ(CastToInt(Value::Double(-9223372036854775808.0)).int64_value(),
+            INT64_MIN);
+  EXPECT_TRUE(CastToDouble(Value::Null()).is_null());
+  EXPECT_EQ(CastToDouble(Value::String("1e+03")).double_value(), 1000.0);
+
+  double d = 0.0;
+  EXPECT_TRUE(ParseFiniteNumber("-0", &d));
+  EXPECT_TRUE(ParseFiniteNumber("1E-7", &d));
+  EXPECT_EQ(d, 1e-7);
+  for (const char* text : {"", "abc", "12abc", "nan", "inf", "-inf", "1e999",
+                           "5 "}) {
+    EXPECT_FALSE(ParseFiniteNumber(text, &d)) << '"' << text << '"';
+  }
+}
+
 // ---- Footer-directory consistency validation (CorcReader::Open) ----
 
 /// Hand-builds a v1 file (no CRCs, so footers can be forged freely) with a
@@ -1445,6 +1520,173 @@ TEST(CorcReaderTest, MistypedFooterStatsAreCorruption) {
   const Status st = reader.Open();
   ASSERT_TRUE(st.IsCorruption()) << st;
   EXPECT_NE(st.message().find("stat type"), std::string::npos) << st;
+}
+
+TEST(CorcWriterTest, StringGroupsGetNumericBoundsOnlyWhenEveryValueParses) {
+  // Groups of four strings: numeric bounds need every non-null value to
+  // parse as a finite number; one value that does not keeps string bounds.
+  const std::vector<std::vector<std::optional<std::string>>> groups = {
+      {"10", "9", "-3.5", "1e2"},   // numeric: -3.5 .. 100
+      {"7", std::nullopt, "-0", std::nullopt},  // numeric: -0 .. 7
+      {"1", "2", "abc", "3"},
+      {"1", "nan", "2", std::nullopt},
+      {"inf", "1", "2", "3"},
+      {"", "1", "2", "3"},
+      {"12abc", "1", "2", "3"},
+      {std::nullopt, std::nullopt, std::nullopt, std::nullopt},
+  };
+  for (const uint32_t version : {kCorcVersion, kCorcVersionV3}) {
+    TempDir tmp;
+    const std::string path = tmp.path("t.corc");
+    Schema schema;
+    schema.AddField("s", TypeKind::kString);
+    CorcWriterOptions options;
+    options.rows_per_group = 4;
+    options.format_version = version;
+    CorcWriter writer(path, schema, options);
+    ASSERT_TRUE(writer.Open().ok());
+    for (const auto& group : groups) {
+      for (const std::optional<std::string>& cell : group) {
+        ASSERT_TRUE(writer
+                        .AppendRow({cell.has_value() ? Value::String(*cell)
+                                                     : Value::Null()})
+                        .ok());
+      }
+    }
+    ASSERT_TRUE(writer.Close().ok());
+
+    CorcReader reader(path);
+    ASSERT_TRUE(reader.Open().ok());
+    const auto& row_groups = reader.footer().stripes[0].columns[0].row_groups;
+    ASSERT_EQ(row_groups.size(), groups.size());
+    auto expect_bounds = [&](size_t g, const Value& min, const Value& max) {
+      const ColumnStats& stats = row_groups[g].stats;
+      EXPECT_EQ(stats.min.is_double(), min.is_double()) << "group " << g;
+      EXPECT_EQ(stats.min.is_string(), min.is_string()) << "group " << g;
+      EXPECT_EQ(stats.max.is_double(), max.is_double()) << "group " << g;
+      EXPECT_EQ(stats.min.Compare(min), 0) << "group " << g;
+      EXPECT_EQ(stats.max.Compare(max), 0) << "group " << g;
+    };
+    expect_bounds(0, Value::Double(-3.5), Value::Double(100));
+    expect_bounds(1, Value::Double(0), Value::Double(7));
+    expect_bounds(2, Value::String("1"), Value::String("abc"));
+    expect_bounds(3, Value::String("1"), Value::String("nan"));
+    expect_bounds(4, Value::String("1"), Value::String("inf"));
+    expect_bounds(5, Value::String(""), Value::String("3"));
+    expect_bounds(6, Value::String("1"), Value::String("3"));
+    EXPECT_TRUE(row_groups[7].stats.min.is_null());
+    EXPECT_TRUE(row_groups[7].stats.max.is_null());
+    EXPECT_EQ(row_groups[1].stats.null_count, 2u);
+    EXPECT_EQ(row_groups[1].stats.value_count, 4u);
+
+    // The values themselves stay the written text.
+    auto batch = reader.ReadAll(nullptr);
+    ASSERT_TRUE(batch.ok()) << batch.status();
+    EXPECT_EQ(batch->column(0).GetString(3), "1e2");
+    EXPECT_EQ(batch->column(0).GetString(6), "-0");
+  }
+}
+
+TEST(CorcReaderTest, StringColumnStatPairsAreTwoStringsOrTwoNumbers) {
+  auto open_with_bounds = [](const std::string& min, const std::string& max) {
+    TempDir tmp;
+    const std::string path = tmp.path("t.corc");
+    const std::string footer =
+        "{\"fields\":[{\"name\":\"s\",\"type\":3}],\"rows_per_group\":100,"
+        "\"num_rows\":2,\"stripes\":[{\"num_rows\":2,\"columns\":[{"
+        "\"row_groups\":[{\"offset\":5,\"length\":18,\"min\":" +
+        min + ",\"max\":" + max + ",\"nulls\":0,\"values\":2}]}]}]}";
+    WriteFileBytes(path, ForgeV1File(footer));
+    CorcReader reader(path);
+    Status st = reader.Open();
+    Value reloaded_min;
+    if (st.ok()) {
+      reloaded_min = reader.footer().stripes[0].columns[0].row_groups[0]
+                         .stats.min;
+    }
+    return std::make_pair(st, reloaded_min);
+  };
+  auto [numbers, min] = open_with_bounds("1", "2.5");
+  ASSERT_TRUE(numbers.ok()) << numbers;
+  EXPECT_TRUE(min.is_double());  // an integral bound reparses as Double
+  EXPECT_TRUE(open_with_bounds("\"a\"", "\"b\"").first.ok());
+  for (const auto& [lo, hi] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"\"abc\"", "5"}, {"5", "\"abc\""}, {"null", "5"},
+           {"true", "false"}}) {
+    const Status st = open_with_bounds(lo, hi).first;
+    EXPECT_TRUE(st.IsCorruption()) << lo << " " << hi << ": " << st;
+  }
+}
+
+TEST(CorcPropertyTest, CastPruningNeverDropsAMatchingStringGroup) {
+  // String groups with numeric bounds prune `cast(s) op literal` through
+  // the cast; a group with any row the residual filter would keep, under
+  // CastToInt/CastToDouble and Value::Compare, must survive.
+  Rng rng(2718);
+  const char* words[] = {"abc", "", "nan", "1e400"};
+  for (int iter = 0; iter < 20; ++iter) {
+    TempDir tmp;
+    const std::string path = tmp.path("t.corc");
+    Schema schema;
+    schema.AddField("s", TypeKind::kString);
+    CorcWriterOptions options;
+    options.rows_per_group = 4;
+    CorcWriter writer(path, schema, options);
+    ASSERT_TRUE(writer.Open().ok());
+    std::vector<Value> values;
+    const int rows = 20 + static_cast<int>(rng.NextBounded(20));
+    for (int i = 0; i < rows; ++i) {
+      Value v;
+      if (rng.NextBool(0.05)) {
+        v = Value::String(words[rng.NextBounded(4)]);
+      } else if (!rng.NextBool(0.1)) {
+        char buf[32];
+        std::snprintf(buf, sizeof(buf), "%.3g",
+                      static_cast<double>(rng.NextInt(-400, 400)) / 100.0);
+        v = Value::String(buf);
+      }
+      ASSERT_TRUE(writer.AppendRow({v}).ok());
+      values.push_back(std::move(v));
+    }
+    ASSERT_TRUE(writer.Close().ok());
+    CorcReader reader(path);
+    ASSERT_TRUE(reader.Open().ok());
+
+    for (int q = 0; q < 12; ++q) {
+      const SargOp op = static_cast<SargOp>(rng.NextBounded(6));
+      const SargCast cast =
+          rng.NextBool(0.5) ? SargCast::kToInt : SargCast::kToDouble;
+      const Value literal =
+          rng.NextBool(0.5)
+              ? Value::Int64(rng.NextInt(-4, 4))
+              : Value::Double(static_cast<double>(rng.NextInt(-40, 40)) / 10);
+      SearchArgument sarg;
+      sarg.AddLeaf(SargLeaf{"s", op, literal, cast});
+      auto include = reader.ComputeRowGroupInclusion(0, sarg);
+      ASSERT_TRUE(include.ok());
+      for (size_t r = 0; r < values.size(); ++r) {
+        const Value cast_value = cast == SargCast::kToInt
+                                     ? CastToInt(values[r])
+                                     : CastToDouble(values[r]);
+        if (cast_value.is_null()) continue;
+        const int cmp = cast_value.Compare(literal);
+        const bool match = op == SargOp::kEq   ? cmp == 0
+                           : op == SargOp::kNe ? cmp != 0
+                           : op == SargOp::kLt ? cmp < 0
+                           : op == SargOp::kLe ? cmp <= 0
+                           : op == SargOp::kGt ? cmp > 0
+                                               : cmp >= 0;
+        if (match) {
+          EXPECT_TRUE((*include)[r / 4])
+              << "iter " << iter << " row " << r << " value "
+              << values[r].ToString() << " op " << static_cast<int>(op)
+              << " cast " << static_cast<int>(cast) << " literal "
+              << literal.ToString();
+        }
+      }
+    }
+  }
 }
 
 TEST(CorcPropertyTest, PruningNeverDropsAMatchingRowGroup) {

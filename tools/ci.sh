@@ -20,7 +20,9 @@
 #           bitmaps is the code most likely to hide an off-by-one. The CORC
 #           encoding suite (dict/RLE/block codecs + fuzzed malformed
 #           streams) re-runs standalone the same two ways: decoders read
-#           attacker-controlled bytes.
+#           attacker-controlled bytes. So does the cached-vs-uncached
+#           differential test, whose numeric-edge corpus drives the
+#           writer's bounds, the casts and SARG pruning.
 #   tsan    ThreadSanitizer build + full test suite (the parallel execution
 #           runtime must be race-clean); the metrics-determinism test, the
 #           CacheRegistry stress test, the serving-layer test, the
@@ -39,7 +41,9 @@
 #           exceeds 5%; the kernel bench fails CI if any ISA level diverges
 #           from scalar; the serving bench fails CI below a 0.80 result-
 #           cache hit rate / 5x repeat-p50 speedup or on any wrong result
-#           under registry churn).
+#           under registry churn), then a short perfbench dashboard run on
+#           4-row first splits, which exits non-zero on any cached answer
+#           that differs from the uncached one.
 #
 # The Release and ASan test suites run twice: once at the host's native
 # SIMD dispatch level and once under MAXSON_FORCE_ISA=scalar, so both the
@@ -195,6 +199,17 @@ if [[ "$run_asan" == 1 ]]; then
   ASAN_OPTIONS="detect_leaks=1:halt_on_error=1" \
   UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
     ./build-asan/tests/storage_test --gtest_filter='CorcEncodingTest.*'
+  # Cached answers must equal uncached ones on numbers that render, cast
+  # and order unusually; the casts' range checks are UBSan's business.
+  echo "=== Cache differential test under ASan ==="
+  ASAN_OPTIONS="detect_leaks=1:halt_on_error=1" \
+  UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
+    ./build-asan/tests/cache_differential_test
+  echo "=== Cache differential test under ASan, forced-scalar ==="
+  MAXSON_FORCE_ISA=scalar \
+  ASAN_OPTIONS="detect_leaks=1:halt_on_error=1" \
+  UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
+    ./build-asan/tests/cache_differential_test
 fi
 # Prove the env knob arms the injector outside of test code, then exercise
 # a short read end to end through the session knob path.
@@ -215,6 +230,12 @@ if [[ "$run_bench" == 1 ]]; then
   # Fails CI when result-cache hit rate, repeat speedup, correctness under
   # registry churn, or typed-rejection accounting misses its threshold.
   ./build-ci/bench/serving_concurrency
+  echo "=== perfbench dashboard, short first splits ==="
+  # Exits 1 on any wrong answer (perfbench checks each one against an
+  # uncached run); tables of 4-row first files are where a cache built
+  # from the first split's values goes wrong.
+  python3 perfbench/run.py --workload dashboard --seed 12 --seconds 2 \
+    --scale short_splits
 fi
 
 echo "CI OK"

@@ -27,7 +27,6 @@
 //   set threads N | set trace on|off | set rawfilter on|off | set budget N
 //   set ondemand on|off | set isa scalar|sse2|avx2|auto
 //   set faultinject fail:N|torn:N|short:N|off
-//   set corcencoding on|off
 //   set resultcache on|off | set maxinflight N | set maxqueue N
 //
 // SQL is served through a MaxsonServer (tenant "shell"), so admission
@@ -87,8 +86,6 @@ void PrintHelp() {
       "                     set faultinject fail:N|torn:N|short:N|off\n"
       "set ondemand on|off  resolve selective path sets by cursoring the\n"
       "                     SIMD structural tape instead of a full DOM parse\n"
-      "set corcencoding on|off  write cache files as CORC v3 with adaptive\n"
-      "                     chunk encodings (dict/RLE/block; off = v2 plain)\n"
       "set resultcache on|off  serve repeated SELECTs from the semantic\n"
       "                     result cache (off by default)\n"
       "set maxinflight N    admission: concurrent queries allowed\n"
@@ -218,8 +215,7 @@ int Run(const ShellOptions& options) {
             "faultinject:    %s\n"
             "ondemand:       %s\n"
             "sharedscan:     %llu subscribers, %llu passes, %llu coalesced, "
-            "%llu bytes saved\n"
-            "corcencoding:   %s\n",
+            "%llu bytes saved\n",
             static_cast<unsigned long long>(stats.rewrite_cache_hits),
             static_cast<unsigned long long>(stats.rewrite_cache_misses),
             static_cast<unsigned long long>(stats.rewrite_invalidations),
@@ -236,8 +232,7 @@ int Run(const ShellOptions& options) {
             static_cast<unsigned long long>(stats.sharedscan_subscribers),
             static_cast<unsigned long long>(stats.sharedscan_parse_passes),
             static_cast<unsigned long long>(stats.sharedscan_coalesced_parses),
-            static_cast<unsigned long long>(stats.sharedscan_saved_bytes),
-            stats.corc_encoding_enabled ? "on" : "off");
+            static_cast<unsigned long long>(stats.sharedscan_saved_bytes));
       } else if (cmd == ".serve") {
         const auto cache_stats = server.result_cache_stats();
         const auto admission = server.admission_snapshot("shell");
