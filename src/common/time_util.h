@@ -32,6 +32,11 @@ inline uint64_t ElapsedMicros(MonotonicTime since, MonotonicTime until) {
           .count());
 }
 
+/// Seconds from `since` to `until` (negative for reversed pairs).
+inline double SecondsBetween(MonotonicTime since, MonotonicTime until) {
+  return std::chrono::duration<double>(until - since).count();
+}
+
 /// Monotonic stopwatch used by the engine's metrics and the benches.
 class Stopwatch {
  public:
@@ -41,7 +46,7 @@ class Stopwatch {
 
   /// Elapsed seconds since construction or the last Reset().
   double ElapsedSeconds() const {
-    return std::chrono::duration<double>(MonotonicNow() - start_).count();
+    return SecondsBetween(start_, MonotonicNow());
   }
 
   /// Elapsed milliseconds.

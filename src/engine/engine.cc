@@ -1,6 +1,7 @@
 #include "engine/engine.h"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -11,12 +12,14 @@
 #include "common/string_util.h"
 #include "common/time_util.h"
 #include "engine/explain.h"
+#include "engine/operator_timer.h"
 #include "engine/planner.h"
 #include "engine/sql_parser.h"
 #include "engine/table_scan.h"
 #include "exec/shared_scan.h"
 #include "json/dom_parser.h"
 #include "json/json_path.h"
+#include "json/mison_parser.h"
 #include "json/ondemand_parser.h"
 #include "json/raw_filter.h"
 #include "obs/metric_names.h"
@@ -114,8 +117,9 @@ void QueryEngine::RegisterBuiltinFunctions() {
     Stopwatch timer;
     Result<std::string> extracted = [&]() -> Result<std::string> {
       if (config_.json_backend == JsonBackend::kMison) {
-        json::MisonParser* mison = ctx.mison != nullptr ? ctx.mison : &mison_;
-        return mison->Extract(text, *path);
+        if (ctx.mison != nullptr) return ctx.mison->Extract(text, *path);
+        json::MisonParser mison;
+        return mison.Extract(text, *path);
       }
       if (config_.enable_ondemand && ctx.ondemand != nullptr) {
         const uint64_t skipped_before = ctx.ondemand->skipped_bytes();
@@ -248,11 +252,7 @@ void QueryEngine::RegisterBuiltinFunctions() {
 }
 
 Status QueryEngine::ValidatePlanned(const PhysicalPlan& plan,
-                                    const std::string& sql) {
-#ifdef NDEBUG
-  // Release builds honor the config knob; Debug builds always validate.
-  if (!config_.validate_plans) return Status::Ok();
-#endif
+                                    [[maybe_unused]] const std::string& sql) {
   std::shared_ptr<const std::vector<CacheBinding>> bindings;
   if (cache_binding_source_) bindings = cache_binding_source_();
 #ifdef NDEBUG
@@ -333,11 +333,12 @@ Result<QueryResult> QueryEngine::Execute(const std::string& sql) {
   // Gather the engine-level execution state into one context (satellites
   // of the engine config land here instead of new ExecutePlan parameters).
   ExecContext exec_ctx;
-  exec_ctx.plan_seconds = plan_seconds;
   exec_ctx.pool = pool_.get();
   exec_ctx.enable_ondemand = config_.enable_ondemand;
   exec_ctx.scan_validity = scan_validity_source_ ? scan_validity_source_() : 0;
   MAXSON_ASSIGN_OR_RETURN(QueryResult executed, ExecutePlan(plan, exec_ctx));
+  executed.metrics.plan_seconds = plan_seconds;
+  PublishMetrics(executed.metrics);
   if (stmt.kind == StatementKind::kExplainAnalyze) {
     QueryResult result;
     result.metrics = executed.metrics;
@@ -397,34 +398,6 @@ void QueryEngine::PublishMetrics(const QueryMetrics& metrics) {
 }
 
 namespace {
-
-/// Rows per parallel work unit of the row-oriented operators. Fixed — never
-/// derived from the thread count — so the chunk decomposition, and with it
-/// every chunk-merged accumulation (including the floating-point partial
-/// sums of aggregates), is byte-identical at every parallelism degree.
-constexpr size_t kRowsPerChunk = 1024;
-
-/// Worker-private execution state of one row chunk: a metrics accumulator
-/// (replacing the engine-global sink of the single-threaded engine) and a
-/// speculative parser whose memoization the chunk mutates freely. Both are
-/// folded back in chunk order after the barrier.
-struct ChunkState {
-  QueryMetrics metrics;
-  json::MisonParser mison;
-  /// Per-chunk on-demand parser: its tape scratch mutates on every record,
-  /// so chunks must not share one. Counters flow through `metrics`.
-  json::OndemandParser ondemand;
-  /// Wall time of this chunk's task on its worker; chunk times sum (in
-  /// chunk order) into the owning operator's cpu_seconds.
-  double seconds = 0;
-};
-
-/// Sums the per-chunk task times accumulated in `states`, in chunk order.
-double SumChunkSeconds(const std::vector<ChunkState>& states) {
-  double total = 0;
-  for (const ChunkState& s : states) total += s.seconds;
-  return total;
-}
 
 /// Serialized grouping key: values rendered with a type tag and separator so
 /// distinct tuples never collide.
@@ -501,31 +474,52 @@ struct AggState {
   }
 };
 
+/// Records one execution's trace, computed from its operator records: an
+/// event per record, with the record's name, start and wall time, inside an
+/// "execute" event that ends with the last operator.
+void RecordTrace(obs::TraceRecorder* tracer, MonotonicTime start,
+                 const QueryMetrics& metrics) {
+  if (tracer == nullptr || !tracer->enabled()) return;
+  auto micros = [](double seconds) {
+    return static_cast<uint64_t>(std::llround(seconds * 1e6));
+  };
+  const uint64_t start_us = tracer->MicrosAt(start);
+  double end_seconds = 0;
+  for (const OperatorStats& op : metrics.operators) {
+    tracer->Record({.name = op.name,
+                    .category = "query",
+                    .start_us = start_us + micros(op.start_seconds),
+                    .duration_us = micros(op.wall_seconds)});
+    end_seconds = std::max(end_seconds, op.start_seconds + op.wall_seconds);
+  }
+  tracer->Record({.name = "execute",
+                  .category = "query",
+                  .start_us = start_us,
+                  .duration_us = micros(end_seconds)});
+}
+
 }  // namespace
 
 Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
                                              const ExecContext& exec_ctx) {
+  const MonotonicTime start = MonotonicNow();
   QueryResult result;
-  result.metrics.plan_seconds = exec_ctx.plan_seconds;
   QueryMetrics& metrics = result.metrics;
   // Plan-time cache accounting rides into the runtime metrics so EXPLAIN
   // ANALYZE and the registry see it alongside the execution counters.
   metrics.plan_cache_hits = plan.rewrite_cache_hits;
   metrics.plan_cache_misses = plan.rewrite_cache_misses;
   metrics.plan_cache_fallbacks = plan.rewrite_cache_fallbacks;
-  obs::TraceSpan query_span(tracer_, "execute", "query");
   exec::ThreadPool* pool = exec_ctx.pool;
 
   // Context of the sequential sections (join build/probe, group
-  // finalization); parallel sections give each chunk a private copy with
-  // its own metrics/parser and fold the accumulators back in chunk order.
-  // The parser is query-local so concurrent Execute calls (the serving
-  // layer runs many sessions on one engine) never share mutable parser
-  // state; its telemetry folds into mison_ once, at the end of the query,
-  // under mison_mutex_.
+  // finalization); chunk fan-outs give each chunk a private copy (see
+  // OperatorTimer::ForEachChunk). The parsers are query-local so
+  // concurrent Execute calls (the serving layer runs many sessions on one
+  // engine) never share mutable parser state; the builtin gates on the
+  // enable_ondemand knob, so wiring the on-demand parser unconditionally
+  // costs nothing.
   json::MisonParser query_mison;
-  // The on-demand parser is likewise query-local; the builtin gates on the
-  // enable_ondemand knob, so wiring it unconditionally costs nothing.
   json::OndemandParser query_ondemand;
   EvalContext ctx;
   ctx.lookup_function = &LookupEngineFunction;
@@ -535,26 +529,24 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
   ctx.ondemand = &query_ondemand;
 
   // ---- Scan (and join) ----
-  std::optional<obs::TraceSpan> scan_span;
-  scan_span.emplace(tracer_, "scan", "query");
-  MAXSON_ASSIGN_OR_RETURN(RecordBatch left,
-                          ExecuteScan(plan.scan, &metrics, exec_ctx,
-                                      *shared_scan_));
-  scan_span.reset();
+  OperatorTimer scan_timer("Scan", &metrics, start);
+  MAXSON_ASSIGN_OR_RETURN(
+      RecordBatch left,
+      ExecuteScan(plan.scan, &scan_timer, exec_ctx, *shared_scan_));
+  scan_timer.Finish(0, left.num_rows());
   if (exec_ctx.cancelled()) return Status::Cancelled("query cancelled");
 
   RecordBatch input;
   if (plan.join_scan.has_value()) {
-    scan_span.emplace(tracer_, "scan.join", "query");
-    MAXSON_ASSIGN_OR_RETURN(RecordBatch right,
-                            ExecuteScan(*plan.join_scan, &metrics, exec_ctx,
-                                        *shared_scan_));
-    scan_span.reset();
+    OperatorTimer join_scan_timer("Scan", &metrics, start);
+    MAXSON_ASSIGN_OR_RETURN(
+        RecordBatch right,
+        ExecuteScan(*plan.join_scan, &join_scan_timer, exec_ctx,
+                    *shared_scan_));
+    join_scan_timer.Finish(0, right.num_rows());
     if (exec_ctx.cancelled()) return Status::Cancelled("query cancelled");
-    obs::TraceSpan join_span(tracer_, "join", "query");
-    Stopwatch join_timer;
-    Stopwatch compute_timer;
-    // Hash join: build on the right side.
+    OperatorTimer join_timer("HashJoin", &metrics, start);
+    // Hash join: build on the right side; build and probe run inline.
     std::multimap<std::string, size_t> build;
     for (size_t r = 0; r < right.num_rows(); ++r) {
       ctx.batch = &right;
@@ -569,14 +561,12 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
       if (any_null) continue;  // NULL keys never join
       build.emplace(GroupKey(keys), r);
     }
-    metrics.compute_seconds += compute_timer.ElapsedSeconds();
 
     Schema joined_schema = left.schema();
     for (const storage::Field& f : right.schema().fields()) {
       joined_schema.AddField(f.name, f.type);
     }
     RecordBatch joined(joined_schema);
-    Stopwatch probe_timer;
     for (size_t l = 0; l < left.num_rows(); ++l) {
       ctx.batch = &left;
       ctx.row = l;
@@ -596,84 +586,66 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
         joined.AppendRow(row);
       }
     }
-    metrics.compute_seconds += probe_timer.ElapsedSeconds();
-    OperatorStats join_op;
-    join_op.name = "HashJoin";
-    join_op.rows_in = left.num_rows() + right.num_rows();
-    join_op.rows_out = joined.num_rows();
-    join_op.wall_seconds = join_timer.ElapsedSeconds();
-    join_op.cpu_seconds = join_op.wall_seconds;  // build/probe run inline
-    metrics.operators.push_back(std::move(join_op));
-    // Subtract parse time attributed during join evaluation from compute
-    // (parse has its own bucket and must not be double counted).
+    join_timer.Finish(left.num_rows() + right.num_rows(), joined.num_rows());
     input = std::move(joined);
   } else {
     input = std::move(left);
   }
 
   // ---- Filter ----
-  // Sparser-style prefilters: for top-level conjuncts of the form
-  // get_json_object(col, path) = 'literal', a record lacking the literal's
-  // bytes cannot match, so it is dropped before any parsing happens.
-  struct RowPrefilter {
-    int column_index;
-    json::RawFilter filter;
-  };
-  std::vector<RowPrefilter> prefilters;
-  if (config_.enable_raw_filter && plan.where != nullptr) {
-    std::vector<const Expr*> stack = {plan.where.get()};
-    while (!stack.empty()) {
-      const Expr* e = stack.back();
-      stack.pop_back();
-      if (e->kind == ExprKind::kBinary && e->bin_op == BinaryOp::kAnd) {
-        stack.push_back(e->children[0].get());
-        stack.push_back(e->children[1].get());
-        continue;
-      }
-      if (e->kind != ExprKind::kBinary || e->bin_op != BinaryOp::kEq) {
-        continue;
-      }
-      const Expr* call = e->children[0].get();
-      const Expr* literal = e->children[1].get();
-      if (call->kind == ExprKind::kLiteral) std::swap(call, literal);
-      if (call->kind != ExprKind::kFunction ||
-          call->func_name != "get_json_object" ||
-          call->children.size() != 2 ||
-          call->children[0]->kind != ExprKind::kColumnRef ||
-          call->children[0]->column_index < 0 ||
-          literal->kind != ExprKind::kLiteral ||
-          !literal->literal.is_string() ||
-          !json::IsRawFilterableLiteral(literal->literal.string_value())) {
-        continue;
-      }
-      prefilters.push_back(RowPrefilter{
-          call->children[0]->column_index,
-          json::RawFilter(literal->literal.string_value())});
-    }
-  }
-
-  Stopwatch compute_timer;
   RecordBatch filtered(input.schema());
   if (plan.where != nullptr) {
-    obs::TraceSpan filter_span(tracer_, "filter", "query");
-    Stopwatch filter_timer;
-    const uint64_t filter_rows_in = input.num_rows();
+    OperatorTimer filter_timer("Filter", &metrics, start);
+    // Sparser-style prefilters: for top-level conjuncts of the form
+    // get_json_object(col, path) = 'literal', a record lacking the
+    // literal's bytes cannot match, so it is dropped before any parsing
+    // happens.
+    struct RowPrefilter {
+      int column_index;
+      json::RawFilter filter;
+    };
+    std::vector<RowPrefilter> prefilters;
+    if (config_.enable_raw_filter) {
+      std::vector<const Expr*> stack = {plan.where.get()};
+      while (!stack.empty()) {
+        const Expr* e = stack.back();
+        stack.pop_back();
+        if (e->kind == ExprKind::kBinary && e->bin_op == BinaryOp::kAnd) {
+          stack.push_back(e->children[0].get());
+          stack.push_back(e->children[1].get());
+          continue;
+        }
+        if (e->kind != ExprKind::kBinary || e->bin_op != BinaryOp::kEq) {
+          continue;
+        }
+        const Expr* call = e->children[0].get();
+        const Expr* literal = e->children[1].get();
+        if (call->kind == ExprKind::kLiteral) std::swap(call, literal);
+        if (call->kind != ExprKind::kFunction ||
+            call->func_name != "get_json_object" ||
+            call->children.size() != 2 ||
+            call->children[0]->kind != ExprKind::kColumnRef ||
+            call->children[0]->column_index < 0 ||
+            literal->kind != ExprKind::kLiteral ||
+            !literal->literal.is_string() ||
+            !json::IsRawFilterableLiteral(literal->literal.string_value())) {
+          continue;
+        }
+        prefilters.push_back(RowPrefilter{
+            call->children[0]->column_index,
+            json::RawFilter(literal->literal.string_value())});
+      }
+    }
+
     // Row chunks are filtered in parallel, each into a private list of
     // surviving row indexes; lists are concatenated in chunk order, so the
     // surviving-row order matches sequential execution.
-    const std::vector<exec::ChunkRange> chunks =
-        exec::MakeChunks(input.num_rows(), kRowsPerChunk);
-    std::vector<ChunkState> states(chunks.size());
-    std::vector<std::vector<size_t>> kept(chunks.size());
-    MAXSON_RETURN_NOT_OK(exec::ParallelFor(
-        pool, chunks.size(), [&](size_t c) -> Status {
-          Stopwatch chunk_timer;
-          EvalContext wctx = ctx;
-          wctx.batch = &input;
-          wctx.metrics = &states[c].metrics;
-          wctx.mison = &states[c].mison;
-          wctx.ondemand = &states[c].ondemand;
-          for (size_t r = chunks[c].begin; r < chunks[c].end; ++r) {
+    std::vector<std::vector<size_t>> kept(NumChunks(input.num_rows()));
+    ctx.batch = &input;
+    MAXSON_RETURN_NOT_OK(filter_timer.ForEachChunk(
+        pool, input.num_rows(), ctx,
+        [&](size_t c, exec::ChunkRange range, EvalContext& wctx) -> Status {
+          for (size_t r = range.begin; r < range.end; ++r) {
             bool rejected = false;
             for (const RowPrefilter& pf : prefilters) {
               const storage::ColumnVector& col =
@@ -684,7 +656,7 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
               }
             }
             if (rejected) {
-              ++states[c].metrics.raw_filtered_rows;
+              ++wctx.metrics->raw_filtered_rows;
               continue;
             }
             wctx.row = r;
@@ -692,42 +664,25 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
                                     EvaluateExpr(*plan.where, wctx));
             if (IsTruthy(keep)) kept[c].push_back(r);
           }
-          states[c].seconds = chunk_timer.ElapsedSeconds();
           return Status::Ok();
         }));
-    for (size_t c = 0; c < chunks.size(); ++c) {
-      metrics.Accumulate(states[c].metrics);
-      query_mison.AbsorbTelemetry(states[c].mison);
-      for (size_t r : kept[c]) filtered.AppendRow(input.GetRow(r));
+    for (const std::vector<size_t>& rows : kept) {
+      for (size_t r : rows) filtered.AppendRow(input.GetRow(r));
     }
-    OperatorStats filter_op;
-    filter_op.name = "Filter";
-    filter_op.rows_in = filter_rows_in;
-    filter_op.rows_out = filtered.num_rows();
-    filter_op.units = chunks.size();
-    filter_op.wall_seconds = filter_timer.ElapsedSeconds();
-    filter_op.cpu_seconds = SumChunkSeconds(states);
-    metrics.operators.push_back(std::move(filter_op));
+    filter_timer.Finish(input.num_rows(), filtered.num_rows());
   } else {
     filtered = std::move(input);
   }
   if (exec_ctx.cancelled()) return Status::Cancelled("query cancelled");
 
   // ---- Project / Aggregate ----
-  Schema out_schema;
-  for (size_t i = 0; i < plan.projections.size(); ++i) {
-    out_schema.AddField(plan.projection_names[i], TypeKind::kString);
-  }
-  // Output columns are dynamically typed; using kString schema would coerce,
-  // so instead build per-row Values and type columns as strings only at the
-  // very end. To preserve types, re-derive the schema from the first row:
-  // simpler: store all projections as their natural Value in a row list.
+  // Output rows hold each projection's natural Value; the output batch's
+  // column types are derived from every row at the end.
   std::vector<std::vector<Value>> out_rows;
+  ctx.batch = &filtered;
 
   if (plan.has_aggregates || !plan.group_by.empty()) {
-    obs::TraceSpan agg_span(tracer_, "aggregate", "query");
-    Stopwatch agg_timer;
-    const uint64_t agg_rows_in = filtered.num_rows();
+    OperatorTimer agg_timer("Aggregate", &metrics, start);
     // Group rows.
     struct Group {
       std::vector<Value> key_values;
@@ -760,20 +715,13 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
     // private ordered map; partials merge below in chunk order, so the
     // exemplar row of every group (its first occurrence) and the aggregate
     // accumulation order are the same at every thread count.
-    const std::vector<exec::ChunkRange> chunks =
-        exec::MakeChunks(filtered.num_rows(), kRowsPerChunk);
-    std::vector<ChunkState> states(chunks.size());
-    std::vector<std::map<std::string, Group>> partials(chunks.size());
-    MAXSON_RETURN_NOT_OK(exec::ParallelFor(
-        pool, chunks.size(), [&](size_t c) -> Status {
-          EvalContext wctx = ctx;
-          wctx.batch = &filtered;
-          wctx.metrics = &states[c].metrics;
-          wctx.mison = &states[c].mison;
-          wctx.ondemand = &states[c].ondemand;
-          Stopwatch chunk_timer;
+    std::vector<std::map<std::string, Group>> partials(
+        NumChunks(filtered.num_rows()));
+    MAXSON_RETURN_NOT_OK(agg_timer.ForEachChunk(
+        pool, filtered.num_rows(), ctx,
+        [&](size_t c, exec::ChunkRange range, EvalContext& wctx) -> Status {
           std::map<std::string, Group>& local = partials[c];
-          for (size_t r = chunks[c].begin; r < chunks[c].end; ++r) {
+          for (size_t r = range.begin; r < range.end; ++r) {
             wctx.row = r;
             std::vector<Value> key_values;
             for (const ExprPtr& g : plan.group_by) {
@@ -801,14 +749,11 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
               }
             }
           }
-          states[c].seconds = chunk_timer.ElapsedSeconds();
           return Status::Ok();
         }));
     std::map<std::string, Group> groups;
-    for (size_t c = 0; c < chunks.size(); ++c) {
-      metrics.Accumulate(states[c].metrics);
-      query_mison.AbsorbTelemetry(states[c].mison);
-      for (auto& [key, group] : partials[c]) {
+    for (std::map<std::string, Group>& partial : partials) {
+      for (auto& [key, group] : partial) {
         auto it = groups.find(key);
         if (it == groups.end()) {
           groups.emplace(key, std::move(group));
@@ -830,7 +775,6 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
     // Finalize each group: evaluate projections (and HAVING) with aggregate
     // nodes replaced by their finished values.
     for (auto& [key, group] : groups) {
-      ctx.batch = &filtered;
       ctx.row = group.first_row;
       // Evaluates `source` (the p-th pseudo-projection) for this group.
       auto evaluate_for_group = [&](const Expr& source,
@@ -879,20 +823,11 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
       }
       out_rows.push_back(std::move(row));
     }
-    OperatorStats agg_op;
-    agg_op.name = "Aggregate";
-    agg_op.rows_in = agg_rows_in;
-    agg_op.rows_out = out_rows.size();
-    agg_op.units = chunks.size();
-    agg_op.wall_seconds = agg_timer.ElapsedSeconds();
-    agg_op.cpu_seconds = SumChunkSeconds(states);
-    metrics.operators.push_back(std::move(agg_op));
-    // ORDER BY over aggregated output operates on projection aliases.
-    // (Sorting below handles the non-aggregate path; for aggregates we sort
-    // by matching the order key against projection names.)
+    agg_timer.Finish(filtered.num_rows(), out_rows.size());
+    // ORDER BY over aggregated output operates on projection aliases: each
+    // order key is matched against the projection names.
     if (!plan.order_by.empty()) {
-      obs::TraceSpan sort_span(tracer_, "sort", "query");
-      Stopwatch sort_timer;
+      OperatorTimer sort_timer("Sort", &metrics, start);
       std::vector<size_t> order(out_rows.size());
       for (size_t i = 0; i < order.size(); ++i) order[i] = i;
       // Resolve each order key to a projection index by textual match.
@@ -934,51 +869,30 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
       sorted.reserve(out_rows.size());
       for (size_t i : order) sorted.push_back(std::move(out_rows[i]));
       out_rows = std::move(sorted);
-      OperatorStats sort_op;
-      sort_op.name = "Sort";
-      sort_op.rows_in = out_rows.size();
-      sort_op.rows_out = out_rows.size();
-      sort_op.wall_seconds = sort_timer.ElapsedSeconds();
-      sort_op.cpu_seconds = sort_op.wall_seconds;  // runs inline
-      metrics.operators.push_back(std::move(sort_op));
+      sort_timer.Finish(out_rows.size(), out_rows.size());
     }
   } else {
     // Plain projection; ORDER BY keys are evaluated against input rows.
     std::vector<size_t> order(filtered.num_rows());
     for (size_t i = 0; i < order.size(); ++i) order[i] = i;
     if (!plan.order_by.empty()) {
-      obs::TraceSpan sort_span(tracer_, "sort", "query");
-      Stopwatch sort_timer;
+      OperatorTimer sort_timer("Sort", &metrics, start);
       // Precompute sort keys, chunk-parallel: every row owns its slot in
       // `sort_keys`, and the stable sort below sees the same key array
       // regardless of which worker filled which slot.
       std::vector<std::vector<Value>> sort_keys(filtered.num_rows());
-      const std::vector<exec::ChunkRange> chunks =
-          exec::MakeChunks(filtered.num_rows(), kRowsPerChunk);
-      std::vector<ChunkState> states(chunks.size());
-      MAXSON_RETURN_NOT_OK(exec::ParallelFor(
-          pool, chunks.size(), [&](size_t c) -> Status {
-            Stopwatch chunk_timer;
-            EvalContext wctx = ctx;
-            wctx.batch = &filtered;
-            wctx.metrics = &states[c].metrics;
-            wctx.mison = &states[c].mison;
-            wctx.ondemand = &states[c].ondemand;
-          wctx.ondemand = &states[c].ondemand;
-            for (size_t r = chunks[c].begin; r < chunks[c].end; ++r) {
+      MAXSON_RETURN_NOT_OK(sort_timer.ForEachChunk(
+          pool, filtered.num_rows(), ctx,
+          [&](size_t, exec::ChunkRange range, EvalContext& wctx) -> Status {
+            for (size_t r = range.begin; r < range.end; ++r) {
               wctx.row = r;
               for (const auto& [expr, desc] : plan.order_by) {
                 MAXSON_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*expr, wctx));
                 sort_keys[r].push_back(std::move(v));
               }
             }
-            states[c].seconds = chunk_timer.ElapsedSeconds();
             return Status::Ok();
           }));
-      for (size_t c = 0; c < chunks.size(); ++c) {
-        metrics.Accumulate(states[c].metrics);
-        query_mison.AbsorbTelemetry(states[c].mison);
-      }
       std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
         for (size_t k = 0; k < plan.order_by.size(); ++k) {
           const int cmp = sort_keys[a][k].Compare(sort_keys[b][k]);
@@ -986,14 +900,7 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
         }
         return false;
       });
-      OperatorStats sort_op;
-      sort_op.name = "Sort";
-      sort_op.rows_in = filtered.num_rows();
-      sort_op.rows_out = filtered.num_rows();
-      sort_op.units = chunks.size();
-      sort_op.wall_seconds = sort_timer.ElapsedSeconds();
-      sort_op.cpu_seconds = SumChunkSeconds(states);
-      metrics.operators.push_back(std::move(sort_op));
+      sort_timer.Finish(filtered.num_rows(), filtered.num_rows());
     }
     // DISTINCT must see every row before the limit truncates.
     const size_t take =
@@ -1001,21 +908,12 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
             ? std::min<size_t>(order.size(), static_cast<size_t>(plan.limit))
             : order.size();
     // Chunk-parallel projection into preassigned output slots.
-    obs::TraceSpan project_span(tracer_, "project", "query");
-    Stopwatch project_timer;
+    OperatorTimer project_timer("Project", &metrics, start);
     out_rows.resize(take);
-    const std::vector<exec::ChunkRange> chunks =
-        exec::MakeChunks(take, kRowsPerChunk);
-    std::vector<ChunkState> states(chunks.size());
-    MAXSON_RETURN_NOT_OK(exec::ParallelFor(
-        pool, chunks.size(), [&](size_t c) -> Status {
-          Stopwatch chunk_timer;
-          EvalContext wctx = ctx;
-          wctx.batch = &filtered;
-          wctx.metrics = &states[c].metrics;
-          wctx.mison = &states[c].mison;
-          wctx.ondemand = &states[c].ondemand;
-          for (size_t i = chunks[c].begin; i < chunks[c].end; ++i) {
+    MAXSON_RETURN_NOT_OK(project_timer.ForEachChunk(
+        pool, take, ctx,
+        [&](size_t, exec::ChunkRange range, EvalContext& wctx) -> Status {
+          for (size_t i = range.begin; i < range.end; ++i) {
             wctx.row = order[i];
             std::vector<Value> row;
             row.reserve(plan.projections.size());
@@ -1025,27 +923,15 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
             }
             out_rows[i] = std::move(row);
           }
-          states[c].seconds = chunk_timer.ElapsedSeconds();
           return Status::Ok();
         }));
-    for (size_t c = 0; c < chunks.size(); ++c) {
-      metrics.Accumulate(states[c].metrics);
-      query_mison.AbsorbTelemetry(states[c].mison);
-    }
-    OperatorStats project_op;
-    project_op.name = "Project";
-    project_op.rows_in = filtered.num_rows();
-    project_op.rows_out = take;
-    project_op.units = chunks.size();
-    project_op.wall_seconds = project_timer.ElapsedSeconds();
-    project_op.cpu_seconds = SumChunkSeconds(states);
-    metrics.operators.push_back(std::move(project_op));
+    project_timer.Finish(filtered.num_rows(), take);
   }
 
   // DISTINCT: drop duplicate output rows, keeping first occurrences (order
   // is already established, so this preserves ORDER BY semantics).
   if (plan.distinct) {
-    Stopwatch distinct_timer;
+    OperatorTimer distinct_timer("Distinct", &metrics, start);
     const uint64_t distinct_rows_in = out_rows.size();
     std::set<std::string> seen;
     std::vector<std::vector<Value>> unique;
@@ -1056,26 +942,18 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
       }
     }
     out_rows = std::move(unique);
-    OperatorStats distinct_op;
-    distinct_op.name = "Distinct";
-    distinct_op.rows_in = distinct_rows_in;
-    distinct_op.rows_out = out_rows.size();
-    distinct_op.wall_seconds = distinct_timer.ElapsedSeconds();
-    distinct_op.cpu_seconds = distinct_op.wall_seconds;  // runs inline
-    metrics.operators.push_back(std::move(distinct_op));
+    distinct_timer.Finish(distinct_rows_in, out_rows.size());
   }
 
   // LIMIT for the aggregate and DISTINCT paths (the plain projection path
   // applied it during evaluation).
   if (plan.limit >= 0) {
-    OperatorStats limit_op;
-    limit_op.name = "Limit";
-    limit_op.rows_in = out_rows.size();
+    OperatorTimer limit_timer("Limit", &metrics, start);
+    const uint64_t limit_rows_in = out_rows.size();
     if (out_rows.size() > static_cast<size_t>(plan.limit)) {
       out_rows.resize(static_cast<size_t>(plan.limit));
     }
-    limit_op.rows_out = out_rows.size();
-    metrics.operators.push_back(std::move(limit_op));
+    limit_timer.Finish(limit_rows_in, out_rows.size());
   }
 
   // Materialize the output batch. A column's type is the widest TypeKind
@@ -1100,15 +978,8 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
   for (const std::vector<Value>& row : out_rows) out.AppendRow(row);
   result.batch = std::move(out);
 
-  // Compute time is total minus the separately attributed parse time
-  // accumulated during evaluation.
-  metrics.compute_seconds +=
-      std::max(0.0, compute_timer.ElapsedSeconds() - metrics.parse_seconds);
-  {
-    MutexLock lock(mison_mutex_);
-    mison_.AbsorbTelemetry(query_mison);
-  }
-  PublishMetrics(metrics);
+  SplitQueryTime(&metrics);
+  RecordTrace(tracer_, start, metrics);
   return result;
 }
 

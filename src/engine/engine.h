@@ -14,7 +14,7 @@
 #include "engine/plan.h"
 #include "engine/plan_validator.h"
 #include "exec/thread_pool.h"
-#include "json/mison_parser.h"
+#include "json/json_path.h"
 #include "xml/xml_path.h"
 
 namespace maxson::exec {
@@ -56,12 +56,6 @@ struct EngineConfig {
   /// everything inline on the calling thread (the pre-parallel behaviour).
   /// Results are byte-identical at every setting; see exec/thread_pool.h.
   size_t num_threads = 0;
-  /// Run the PlanValidator over every plan Plan()/Execute() produces (after
-  /// Maxson's rewrite, before any execution). Debug builds validate
-  /// unconditionally; this flag gates the check in Release builds only. A
-  /// violation fails the query with kInternal and bumps the
-  /// maxson_plan_validation_failures counter.
-  bool validate_plans = true;
   /// SIMD kernel level for the byte-scanning hot paths (structural index,
   /// DOM string scans, raw filter, CORC decode): "scalar", "sse2", "avx2",
   /// or ""/"auto" for the startup policy (MAXSON_FORCE_ISA env override,
@@ -105,8 +99,10 @@ class QueryEngine {
     cache_binding_source_ = std::move(source);
   }
 
-  /// Recorder receiving per-stage trace spans (scan, filter, aggregate, …).
-  /// Pass nullptr to disable. Not owned.
+  /// Recorder receiving each execution's trace events: one per operator
+  /// record (Scan, Filter, Aggregate, …) inside an "execute" event, all
+  /// computed from the records when the execution ends. Pass nullptr to
+  /// disable. Not owned.
   void set_tracer(obs::TraceRecorder* tracer) { tracer_ = tracer; }
   obs::TraceRecorder* tracer() const { return tracer_; }
 
@@ -162,29 +158,13 @@ class QueryEngine {
   /// Executes an already-built plan under `ctx` (see exec_context.h for
   /// the fields; Execute() assembles the context from the engine's
   /// configuration). A default-constructed context runs the plan
-  /// sequentially; its scans still subscribe to the engine's manager.
+  /// sequentially; its scans still subscribe to the engine's manager. The
+  /// result's metrics carry the operator records and the read/parse/
+  /// compute split computed from them, and the trace, when enabled, gets
+  /// the execution's events; Execute() then stamps the plan time and
+  /// publishes the metrics.
   Result<QueryResult> ExecutePlan(const PhysicalPlan& plan,
                                   const ExecContext& ctx);
-
-  /// Value snapshot of the Mison backend's speculation telemetry (zeros
-  /// under kDom). Cumulative across queries.
-  struct ParserTelemetry {
-    uint64_t speculation_hits = 0;
-    uint64_t speculation_misses = 0;
-    uint64_t records_indexed = 0;
-  };
-
-  /// Speculation telemetry of the Mison backend. Workers extract with
-  /// private parsers; their counters fold into a query-local parser and
-  /// land in mison_ once per query under mison_mutex_. The snapshot is
-  /// taken under the same mutex, so stats read while queries run are
-  /// merely slightly stale, never torn — and no caller can alias the
-  /// guarded parser, which is what lets the analysis cover every access.
-  ParserTelemetry parser_telemetry() const MAXSON_EXCLUDES(mison_mutex_) {
-    MutexLock lock(mison_mutex_);
-    return {mison_.speculation_hits(), mison_.speculation_misses(),
-            mison_.records_indexed()};
-  }
 
  private:
   friend const ScalarFunction* LookupEngineFunction(const std::string& name,
@@ -193,9 +173,10 @@ class QueryEngine {
   void RegisterBuiltinFunctions();
 
   /// Runs the PlanValidator over a freshly planned (possibly rewritten)
-  /// plan when validation is enabled for this build/config; a violation
-  /// bumps maxson_plan_validation_failures and is returned to the caller.
-  /// `sql` keys the Release-build verdict cache (see validation_cache_).
+  /// plan, after Maxson's rewrite and before any execution; a violation
+  /// bumps maxson_plan_validation_failures and fails the query with
+  /// kInternal. `sql` keys the Release-build verdict cache (see
+  /// validation_cache_); Debug builds re-validate every plan.
   Status ValidatePlanned(const PhysicalPlan& plan, const std::string& sql);
 
   /// Publishes one executed query's deterministic counters and measured
@@ -225,14 +206,6 @@ class QueryEngine {
   /// Cache-state stamp source for shared-scan group keys; see
   /// set_scan_validity_source.
   std::function<uint64_t()> scan_validity_source_;
-  /// Long-lived telemetry accumulator and single-threaded fallback parser
-  /// (used only when an EvalContext carries no per-worker parser — never
-  /// the case inside ExecutePlan, which always supplies a query-local
-  /// parser so concurrent Execute calls stay independent). Guarded by
-  /// mison_mutex_ for the once-per-query telemetry fold; mutable so the
-  /// const parser_telemetry() snapshot can lock it.
-  mutable Mutex mison_mutex_;
-  json::MisonParser mison_ MAXSON_GUARDED_BY(mison_mutex_);
   std::unordered_map<std::string, ScalarFunction> functions_;
   /// Caches of parsed path objects keyed by text, to keep path parsing out
   /// of the measured parse time. Shared across worker threads: lookups

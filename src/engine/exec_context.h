@@ -12,17 +12,13 @@ namespace maxson::engine {
 
 /// Everything one plan execution needs besides the plan itself, gathered
 /// into a single struct threaded from ExecutePlan through the scan into the
-/// operators. Replaces the parameter list that grew one entry per PR
-/// (plan_seconds, then the pool, then validity snapshots): new per-query
-/// execution state lands here once instead of rippling through every
-/// signature on the path.
+/// operators: new per-query execution state lands here once instead of
+/// rippling through every signature on the path.
 ///
 /// Plain pointers are non-owning and may be null; a default-constructed
 /// context executes sequentially and uncancellable — the simplest correct
 /// configuration. Scans subscribe to the engine's own SharedScanManager.
 struct ExecContext {
-  /// Planning time carried into the result's metrics.
-  double plan_seconds = 0;
   /// Pool fanning split passes and row chunks; null runs inline.
   exec::ThreadPool* pool = nullptr;
   /// Cache-state stamp (CacheRegistry version) keying shared-scan groups:

@@ -93,7 +93,9 @@ struct PhysicalPlan {
 /// Runtime accounting of one physical operator, in pipeline execution
 /// order (scan(s) first, limit last); EXPLAIN ANALYZE renders these onto
 /// the plan tree. Counts (rows, units) are deterministic at every thread
-/// count; the time fields are measured and therefore are not.
+/// count; the time fields are measured and therefore are not. The time
+/// fields are the engine's only record of query time; OperatorTimer
+/// (engine/operator_timer.h) defines and sets them.
 struct OperatorStats {
   std::string name;    // "Scan", "HashJoin", "Filter", "Aggregate", ...
   std::string detail;  // table name, predicate text, sort keys, ...
@@ -104,17 +106,20 @@ struct OperatorStats {
   uint64_t units = 0;
   /// Cache columns stitched into a scan's output (nonzero = Maxson hit).
   uint64_t cache_columns = 0;
-  /// Operator wall time on the coordinating thread.
   double wall_seconds = 0;
-  /// Summed per-worker task time; exceeds wall_seconds under parallelism.
   double cpu_seconds = 0;
+  double parse_seconds = 0;
+  double start_seconds = 0;
 };
 
 /// Time and volume accounting of one query execution, split the way the
 /// paper's Fig. 3 / Fig. 12 break down runtime: Read (I/O + decode), Parse
-/// (JSON work inside get_json_object), Compute (everything else).
+/// (JSON work inside get_json_object), Compute (everything else). The
+/// split is computed from `operators` when the execution ends (see
+/// SplitQueryTime); while it runs, parse_seconds accumulates extraction
+/// time, which is how each operator's parse share is measured.
 struct QueryMetrics {
-  double plan_seconds = 0;
+  double plan_seconds = 0;  // stamped by QueryEngine::Execute
   double read_seconds = 0;
   double parse_seconds = 0;
   double compute_seconds = 0;
@@ -153,14 +158,10 @@ struct QueryMetrics {
 
   /// Folds another accumulator into this one; parallel operators give every
   /// split/chunk its own QueryMetrics and merge them in split order after
-  /// the barrier, so counter totals are deterministic. Note that under
-  /// parallel execution the *_seconds fields are summed CPU time across
-  /// workers and can exceed the query's wall time.
+  /// the barrier, so counter totals are deterministic. Of the times, only
+  /// the extraction time a split/chunk accumulated folds.
   void Accumulate(const QueryMetrics& other) {
-    plan_seconds += other.plan_seconds;
-    read_seconds += other.read_seconds;
     parse_seconds += other.parse_seconds;
-    compute_seconds += other.compute_seconds;
     read.Add(other.read);
     parse.Add(other.parse);
     shared_skips += other.shared_skips;

@@ -350,7 +350,16 @@ class Parser {
     if (PeekOperator("-")) {
       Advance();
       MAXSON_ASSIGN_OR_RETURN(ExprPtr operand, ParseUnary());
-      return Expr::Unary(UnaryOp::kNeg, std::move(operand));
+      const bool numeric_literal = operand->kind == ExprKind::kLiteral &&
+                                   (operand->literal.is_int64() ||
+                                    operand->literal.is_double());
+      ExprPtr negated = Expr::Unary(UnaryOp::kNeg, std::move(operand));
+      if (!numeric_literal) return negated;
+      // Fold `-literal` to the literal evaluating it yields, so a predicate
+      // such as `x > -2.2` reaches ExtractSargs as `column op literal`.
+      MAXSON_ASSIGN_OR_RETURN(Value folded,
+                              EvaluateExpr(*negated, EvalContext{}));
+      return Expr::Literal(std::move(folded));
     }
     return ParsePrimary();
   }

@@ -454,10 +454,9 @@ Schema UnionSchema(const std::vector<exec::ColumnKey>& columns,
 
 }  // namespace
 
-Result<RecordBatch> ExecuteScan(const ScanNode& scan, QueryMetrics* metrics,
+Result<RecordBatch> ExecuteScan(const ScanNode& scan, OperatorTimer* timer,
                                 const ExecContext& ctx,
                                 exec::SharedScanManager& manager) {
-  Stopwatch timer;
   MAXSON_ASSIGN_OR_RETURN(std::vector<Split> splits,
                           FileSystem::ListSplits(scan.table_dir));
   if (splits.empty()) {
@@ -490,28 +489,28 @@ Result<RecordBatch> ExecuteScan(const ScanNode& scan, QueryMetrics* metrics,
   // work, while the result rows are identical regardless.
   const size_t num_splits = interest.morsels.size();
   std::vector<QueryMetrics> morsel_metrics(num_splits);
-  std::vector<double> morsel_seconds(num_splits, 0.0);
   const auto pass_fn =
       [&](const exec::Morsel& morsel, size_t ordinal,
           const std::vector<exec::ColumnKey>& union_columns,
           const std::vector<exec::ScanPredicate>& predicates)
       -> Result<exec::SharedPassOutput> {
-    Stopwatch pass_timer;
-    RecordBatch batch(UnionSchema(union_columns, scan.table_schema));
-    QueryMetrics* slot = &morsel_metrics[ordinal];
-    MAXSON_RETURN_NOT_OK(ScanSplit(union_columns, predicates, morsel.path,
-                                   morsel.index, ctx.enable_ondemand, &batch,
-                                   slot));
-    morsel_seconds[ordinal] = pass_timer.ElapsedSeconds();
-    exec::SharedPassOutput output;
-    output.batch = std::move(batch);
-    output.input_bytes = slot->read.bytes_read + slot->parse.bytes_parsed;
-    return output;
+    return timer->Task(ordinal, [&]() -> Result<exec::SharedPassOutput> {
+      RecordBatch batch(UnionSchema(union_columns, scan.table_schema));
+      QueryMetrics* slot = &morsel_metrics[ordinal];
+      MAXSON_RETURN_NOT_OK(ScanSplit(union_columns, predicates, morsel.path,
+                                     morsel.index, ctx.enable_ondemand,
+                                     &batch, slot));
+      exec::SharedPassOutput output;
+      output.batch = std::move(batch);
+      output.input_bytes = slot->read.bytes_read + slot->parse.bytes_parsed;
+      return output;
+    });
   };
 
   std::unique_ptr<exec::ScanSubscription> sub =
       manager.Subscribe(interest, pass_fn);
-  MAXSON_RETURN_NOT_OK(sub->Collect(ctx.pool, ctx.cancel));
+  MAXSON_RETURN_NOT_OK(timer->Parallel(
+      num_splits, [&] { return sub->Collect(ctx.pool, ctx.cancel); }));
 
   RecordBatch out(ScanOutputSchema(scan));
   for (size_t i = 0; i < sub->num_morsels(); ++i) {
@@ -519,23 +518,15 @@ Result<RecordBatch> ExecuteScan(const ScanNode& scan, QueryMetrics* metrics,
     for (size_t c = 0; c < columns.size(); ++c) {
       out.column(c).AppendColumn(std::move(columns[c]));
     }
-    if (metrics != nullptr && sub->executed_by_self(i)) {
-      metrics->Accumulate(morsel_metrics[i]);
+    if (sub->executed_by_self(i)) {
+      timer->metrics()->Accumulate(morsel_metrics[i]);
     }
   }
 
-  if (metrics != nullptr) {
-    metrics->read_seconds += timer.ElapsedSeconds();
-    OperatorStats op;
-    op.name = "Scan";
-    op.detail = scan.table_dir;
-    op.rows_out = out.num_rows();
-    op.units = num_splits;
-    op.cache_columns = scan.cache_columns.size();
-    op.wall_seconds = timer.ElapsedSeconds();
-    for (double s : morsel_seconds) op.cpu_seconds += s;
-    metrics->operators.push_back(std::move(op));
-  }
+  OperatorStats& op = timer->stats();
+  op.detail = scan.table_dir;
+  op.units = num_splits;
+  op.cache_columns = scan.cache_columns.size();
   return out;
 }
 

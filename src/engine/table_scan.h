@@ -3,6 +3,7 @@
 
 #include "common/result.h"
 #include "engine/exec_context.h"
+#include "engine/operator_timer.h"
 #include "engine/plan.h"
 #include "storage/record_batch.h"
 
@@ -33,10 +34,13 @@ namespace maxson::engine {
 /// whichever query executed it.
 ///
 /// Returns the concatenated scan output (raw columns, qualified when the
-/// scan has a qualifier, followed by cache columns). Metrics accumulate
-/// read time, bytes, and shared-skip counts into `metrics`.
+/// scan has a qualifier, followed by cache columns). The passes run as
+/// `timer`'s parallel section, one task per split; bytes, rows and
+/// shared-skip counts accumulate into `timer->metrics()`, and the Scan
+/// record's detail, split count and cache-column count into
+/// `timer->stats()`. The caller finishes the timer.
 Result<storage::RecordBatch> ExecuteScan(const ScanNode& scan,
-                                         QueryMetrics* metrics,
+                                         OperatorTimer* timer,
                                          const ExecContext& ctx,
                                          exec::SharedScanManager& manager);
 

@@ -58,8 +58,8 @@ class OndemandParser {
   uint64_t records_indexed() const { return records_indexed_; }
   uint64_t skipped_bytes() const { return skipped_bytes_; }
 
-  /// Adds another parser's telemetry to this one; same merge discipline as
-  /// MisonParser::AbsorbTelemetry (one parser per worker, folded in order).
+  /// Adds another parser's telemetry to this one (one parser per worker,
+  /// folded in order).
   void AbsorbTelemetry(const OndemandParser& other) {
     records_indexed_ += other.records_indexed_;
     skipped_bytes_ += other.skipped_bytes_;

@@ -24,10 +24,6 @@ std::string EscapeJson(const std::string& text) {
 
 }  // namespace
 
-uint64_t TraceRecorder::NowMicros() const {
-  return ElapsedMicros(epoch_, MonotonicNow());
-}
-
 void TraceRecorder::Record(TraceEvent event) {
   if (!enabled()) return;
   if (event.thread_id == 0) event.thread_id = CurrentThreadId();

@@ -34,7 +34,9 @@ class TraceRecorder {
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
   /// Microseconds since the recorder was constructed.
-  uint64_t NowMicros() const;
+  uint64_t NowMicros() const { return MicrosAt(MonotonicNow()); }
+  /// Microseconds from the recorder's construction to `t` (0 before it).
+  uint64_t MicrosAt(MonotonicTime t) const { return ElapsedMicros(epoch_, t); }
 
   void Record(TraceEvent event) MAXSON_EXCLUDES(mutex_);
 

@@ -10,6 +10,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -207,6 +208,31 @@ TEST_F(CacheDifferentialTest, TruncatingCastsPruneByTruncatedBounds) {
         std::string("SELECT id, get_json_object(payload, '$.v') AS v "
                     "FROM db.nums WHERE ") +
         predicate);
+  }
+}
+
+TEST_F(CacheDifferentialTest, NegativeLiteralsPushDownWithTheirCast) {
+  // `-1` and `-2.2` parse as literals, so each conjunct reaches the cache
+  // SARG as a cast leaf and prunes row groups.
+  const std::pair<const char*, const char*> cases[] = {
+      {"to_int(get_json_object(payload, '$.v')) < -1",
+       "cache sarg: to_int(payload____v) < -1"},
+      {"to_double(get_json_object(payload, '$.v')) > -2.2",
+       "cache sarg: to_double(payload____v) > -2.2"},
+  };
+  for (const auto& [predicate, leaf] : cases) {
+    const std::string sql =
+        std::string("SELECT id, get_json_object(payload, '$.v') AS v "
+                    "FROM db.nums WHERE ") +
+        predicate;
+    ExpectCachedMatchesUncached(sql);
+    auto explained = session_->Execute("EXPLAIN " + sql);
+    ASSERT_TRUE(explained.ok()) << explained.status();
+    std::string plan;
+    for (size_t r = 0; r < explained->batch.num_rows(); ++r) {
+      plan += explained->batch.column(0).GetString(r) + "\n";
+    }
+    EXPECT_NE(plan.find(leaf), std::string::npos) << plan;
   }
 }
 

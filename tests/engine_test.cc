@@ -1,11 +1,14 @@
+#include <cmath>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "catalog/catalog.h"
 #include "engine/engine.h"
 #include "engine/planner.h"
 #include "engine/sql_parser.h"
 #include "gtest/gtest.h"
+#include "obs/trace.h"
 #include "storage/corc_writer.h"
 #include "storage/file_system.h"
 
@@ -424,14 +427,87 @@ TEST_F(EngineTest, SargsArePushedOnlyInTheFiltersOrder) {
 }
 
 TEST_F(EngineTest, MetricsBreakdownIsConsistent) {
+  // mydb.Big: 3,000 rows in two files, so every row-oriented operator over
+  // it fans out over three chunks.
+  Schema schema;
+  schema.AddField("id", TypeKind::kInt64);
+  schema.AddField("mall_id", TypeKind::kString);
+  schema.AddField("sale_logs", TypeKind::kString);
+  const std::string dir = warehouse_ + "/mydb/Big";
+  ASSERT_TRUE(FileSystem::MakeDirs(dir).ok());
+  for (int file = 0, id = 0; file < 2; ++file) {
+    CorcWriter writer(dir + "/" + FileSystem::PartFileName(file), schema,
+                      CorcWriterOptions{});
+    ASSERT_TRUE(writer.Open().ok());
+    for (int i = 0; i < 1500; ++i, ++id) {
+      const std::string json = "{\"item_id\":" + std::to_string(id) +
+                               ",\"turnover\":" + std::to_string(id % 97) +
+                               "}";
+      ASSERT_TRUE(writer
+                      .AppendRow({Value::Int64(id),
+                                  Value::String("m" + std::to_string(id % 7)),
+                                  Value::String(json)})
+                      .ok());
+    }
+    ASSERT_TRUE(writer.Close().ok());
+  }
+  catalog::TableInfo info;
+  info.database = "mydb";
+  info.name = "Big";
+  info.schema = schema;
+  info.location = dir;
+  ASSERT_TRUE(catalog_.CreateTable(info).ok());
+
+  const std::string join_sql =
+      "SELECT a.mall_id, COUNT(*) AS n FROM mydb.Big a JOIN mydb.Big b ON "
+      "a.id = b.id WHERE to_int(get_json_object(a.sale_logs, '$.turnover')) "
+      ">= 50 GROUP BY a.mall_id ORDER BY n DESC";
+  const std::string project_sql =
+      "SELECT get_json_object(sale_logs, '$.item_id') AS item FROM mydb.Big";
+  for (size_t threads : {1u, 4u}) {
+    EngineConfig config;
+    config.num_threads = threads;
+    QueryEngine engine(&catalog_, config);
+    obs::TraceRecorder tracer;
+    tracer.set_enabled(true);
+    engine.set_tracer(&tracer);
+    for (const std::string& sql : {join_sql, project_sql}) {
+      tracer.Clear();
+      QueryResult r = MustExecute(&engine, sql);
+      const QueryMetrics& m = r.metrics;
+      EXPECT_GT(m.read.bytes_read, 0u);
+      EXPECT_GT(m.parse_seconds, 0.0);
+      // The split is computed from the records: it adds up to their cpu.
+      double cpu = 0;
+      for (const OperatorStats& op : m.operators) {
+        EXPECT_GE(op.parse_seconds, 0.0) << op.name;
+        EXPECT_LE(op.parse_seconds, op.cpu_seconds) << op.name;
+        cpu += op.cpu_seconds;
+      }
+      EXPECT_NEAR(m.read_seconds + m.parse_seconds + m.compute_seconds, cpu,
+                  1e-9)
+          << sql << " at " << threads << " threads";
+      if (threads == 4) {
+        EXPECT_GT(m.compute_seconds, 0.0) << sql;
+      }
+      // One trace event per record, named and sized like it, then the
+      // whole execution.
+      const std::vector<obs::TraceEvent> events = tracer.Snapshot();
+      ASSERT_EQ(events.size(), m.operators.size() + 1) << sql;
+      for (size_t i = 0; i < m.operators.size(); ++i) {
+        EXPECT_EQ(events[i].name, m.operators[i].name);
+        EXPECT_EQ(events[i].duration_us,
+                  static_cast<uint64_t>(
+                      std::llround(m.operators[i].wall_seconds * 1e6)));
+      }
+      EXPECT_EQ(events.back().name, "execute");
+    }
+  }
+
   QueryEngine engine(&catalog_, EngineConfig{});
   QueryResult r = MustExecute(
       &engine,
       "SELECT get_json_object(sale_logs, '$.item_id') FROM mydb.T");
-  EXPECT_GE(r.metrics.read_seconds, 0.0);
-  EXPECT_GT(r.metrics.parse_seconds, 0.0);
-  EXPECT_GE(r.metrics.compute_seconds, 0.0);
-  EXPECT_GT(r.metrics.read.bytes_read, 0u);
   EXPECT_EQ(r.metrics.parse.records_parsed, 20u);
 }
 

@@ -402,25 +402,19 @@ TEST_F(PlanValidatorEngineTest, VerdictFollowsBindingSnapshotChanges) {
   EXPECT_EQ(registry.CounterTotals()["maxson_plan_validation_failures"], 1u);
 }
 
-TEST_F(PlanValidatorEngineTest, ReleaseKnobDisablesValidation) {
-  EngineConfig config = Config();
-  config.validate_plans = false;
-  QueryEngine engine(&catalog_, config);
+TEST_F(PlanValidatorEngineTest, CorruptPlanFailsInEveryBuildType) {
+  // No configuration turns validation off: Debug builds re-validate every
+  // plan, Release builds cache clean verdicts only, so a corrupt plan
+  // fails with kInternal on every execution in both.
+  QueryEngine engine(&catalog_, Config());
   CorruptingRewriter rewriter;
   engine.set_plan_rewriter(&rewriter);
-  auto result = engine.Execute("SELECT id FROM t");
-#ifdef NDEBUG
-  // Validation is off: the corrupt plan reaches execution, which reports a
-  // read error against the bogus cache directory instead of kInternal.
-  if (!result.ok()) {
-    EXPECT_NE(result.status().code(), StatusCode::kInternal)
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    auto result = engine.Execute("SELECT id FROM t");
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInternal)
         << result.status();
   }
-#else
-  // Debug builds validate unconditionally.
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInternal);
-#endif
 }
 
 }  // namespace

@@ -509,8 +509,7 @@ TEST_F(SimdKernelTest, RleSplatMatchesScalarAtEveryLevel) {
         // Canary padding proves the kernel writes exactly width*count bytes.
         std::vector<uint8_t> out(width * count + 4, 0xAB);
         simd::RleSplat(pattern.data(), width, count, out.data());
-        EXPECT_EQ(std::memcmp(out.data(), expected.data(), expected.size()),
-                  0)
+        EXPECT_TRUE(std::equal(expected.begin(), expected.end(), out.begin()))
             << simd::IsaName(level) << " width=" << width
             << " count=" << count;
         for (size_t i = expected.size(); i < out.size(); ++i) {

@@ -47,6 +47,13 @@ Encodes the project-specific invariants that generic tooling cannot know
                        reaches the scheduler as a SharedScanPassFn callback
                        supplied by the layer above, keeping the dependency
                        arrow engine -> exec one-directional.
+  operator-timing      src/engine/ records query time only through
+                       OperatorTimer (engine/operator_timer.h): no
+                       obs::TraceSpan there (the trace is computed from
+                       the operator records), and no assignment to an
+                       OperatorStats' wall_seconds / cpu_seconds anywhere
+                       in src/ outside the timer, so each operator is
+                       timed once and by one definition.
   mutex-annotation     No raw std::mutex / std::shared_mutex members in src/
                        outside common/thread_annotations.h — locks are the
                        annotated maxson::Mutex / maxson::SharedMutex so the
@@ -137,6 +144,10 @@ EXEC_BANNED_INCLUDE_RE = re.compile(
     r'#\s*include\s+"(?:engine|json|xml|core|serve|catalog|ml|workload|simd)/')
 EXEC_BANNED_IDENT_RE = re.compile(
     r"\b(?:MisonParser|CorcReader|RawFilter|ExecutePlan|ExecuteScan)\b")
+TRACE_SPAN_RE = re.compile(r"\bTraceSpan\b")
+OPERATOR_TIME_WRITE_RE = re.compile(
+    r"(?:\.|->)\s*(?:wall_seconds|cpu_seconds)\s*[-+*/]?=(?!=)")
+OPERATOR_TIMER_HEADER = "src/engine/operator_timer.h"
 PARENT_INCLUDE_RE = re.compile(r'#\s*include\s+"\.\./')
 INCLUDE_RE = re.compile(r'#\s*include\s+"([^"]+)"')
 GUARD_RE = re.compile(r"#\s*ifndef\s+(\S+)")
@@ -673,6 +684,23 @@ def check_exec_layering(root, rel, lines, out):
                 "work through a pass callback supplied by the layer above"))
 
 
+def check_operator_timing(root, rel, lines, out):
+    if not rel.startswith("src/") or rel == OPERATOR_TIMER_HEADER:
+        return
+    for i, line in enumerate(lines, 1):
+        code = strip_line_comment(line)
+        if rel.startswith("src/engine/") and TRACE_SPAN_RE.search(code):
+            out.append(Violation(
+                "operator-timing", rel, i,
+                "TraceSpan in src/engine/ — the engine's trace events are "
+                "computed from the OperatorStats records"))
+        elif OPERATOR_TIME_WRITE_RE.search(code):
+            out.append(Violation(
+                "operator-timing", rel, i,
+                "operator time assigned outside OperatorTimer — run the "
+                "operator through engine/operator_timer.h"))
+
+
 def check_nodiscard_guard(root, rel, lines, out):
     text = "".join(lines)
     for path, pattern in NODISCARD_REQUIRED:
@@ -835,6 +863,7 @@ def run_lint(root, fix=False):
         check_ondemand_tape(root, rel, lines, violations)
         check_exec_layering(root, rel, lines, violations)
         check_include_hygiene(root, rel, lines, violations)
+        check_operator_timing(root, rel, lines, violations)
         check_nodiscard_guard(root, rel, lines, violations)
         check_mutex_annotation(root, rel, lines, violations)
         files[rel] = lines
@@ -877,6 +906,14 @@ SELF_TEST_FILES = (
     ("exec-layering", "src/exec/bad_parse_call.cc",
      '#include "exec/bad_parse_call.h"\n'
      "void f() { maxson::storage::CorcReader reader; }\n"),
+    # Both operator-timing detection paths: a span in the engine and an
+    # operator time written outside the timer.
+    ("operator-timing", "src/engine/bad_span.cc",
+     '#include "engine/bad_span.h"\n'
+     'void f(R* r) { obs::TraceSpan span(r, "scan", "query"); }\n'),
+    ("operator-timing", "src/core/bad_wall.cc",
+     '#include "core/bad_wall.h"\n'
+     "void f(OperatorStats* op) { op->wall_seconds = 1.0; }\n"),
     ("include-hygiene", "src/engine/bad_guard.h",
      "#ifndef WRONG_GUARD_H\n#define WRONG_GUARD_H\n"
      "#endif\n"),
@@ -990,7 +1027,7 @@ def self_test():
                 failures.append(f"--fix did not repair {rule}")
         for rule in ("thread-create", "wall-clock", "counter-write",
                      "simd-intrinsics", "ondemand-tape", "exec-layering",
-                     "lock-order", "mutex-annotation", "status-discard",
+                     "operator-timing", "lock-order", "mutex-annotation", "status-discard",
                      "metric-name"):
             if rule not in fixed_left:
                 failures.append(f"--fix must not silence {rule}")
