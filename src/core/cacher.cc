@@ -181,46 +181,34 @@ Status JsonPathCacher::CacheTablePaths(
             cache_schema, options);
         MAXSON_RETURN_NOT_OK(writer.Open());
 
+        // One extractor per source column: each row's JSON is parsed once
+        // per column and every requested path evaluated against that parse
+        // (the whole point of pre-parsing is to pay the deserialization
+        // once).
         json::MisonParser mison;
+        std::vector<json::DocumentExtractor> doms(unique_columns.size());
         for (size_t s = 0; s < reader.num_stripes(); ++s) {
           MAXSON_ASSIGN_OR_RETURN(
               storage::RecordBatch batch,
               reader.ReadStripe(s, unique_columns, std::nullopt, nullptr));
           Stopwatch parse_timer;
           for (size_t r = 0; r < batch.num_rows(); ++r) {
-            // Parse each source JSON column once per row and evaluate every
-            // requested path against it (the whole point of pre-parsing is
-            // to pay the deserialization once).
-            std::map<int, Result<json::JsonValue>> doms;
             std::vector<Value> row;
             row.reserve(work.size());
             for (size_t wi = 0; wi < work.size(); ++wi) {
               const PathWork& w = work[wi];
-              const int slot = column_slot.at(source_columns[wi]);
-              if (batch.column(static_cast<size_t>(slot)).IsNull(r)) {
+              const size_t slot =
+                  static_cast<size_t>(column_slot.at(source_columns[wi]));
+              if (batch.column(slot).IsNull(r)) {
                 row.push_back(Value::Null());
                 continue;
               }
-              const std::string& text =
-                  batch.column(static_cast<size_t>(slot)).GetString(r);
-              Result<std::string> value = Status::NotFound("");
-              if (w.is_xml) {
-                value = xml::GetXmlObject(text, w.xpath);
-              } else if (backend_ == engine::JsonBackend::kMison) {
-                value = mison.Extract(text, w.parsed);
-              } else {
-                auto dom_it = doms.find(slot);
-                if (dom_it == doms.end()) {
-                  dom_it = doms.emplace(slot, json::ParseJson(text)).first;
-                }
-                if (dom_it->second.ok()) {
-                  const json::JsonValue* node =
-                      w.parsed.Evaluate(*dom_it->second);
-                  if (node != nullptr) {
-                    value = json::RenderGetJsonObjectResult(*node);
-                  }
-                }
-              }
+              const std::string& text = batch.column(slot).GetString(r);
+              Result<std::string> value =
+                  w.is_xml ? xml::GetXmlObject(text, w.xpath)
+                  : backend_ == engine::JsonBackend::kMison
+                      ? mison.Extract(text, w.parsed)
+                      : doms[slot].Extract(text, w.parsed);
               if (value.ok()) {
                 if (split_out != nullptr) {
                   split_out->bytes_written += value->size();

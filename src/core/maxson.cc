@@ -273,10 +273,6 @@ Status MaxsonSession::UpdateConfig(const SessionUpdate& update) {
     config_.engine.enable_raw_filter = *update.raw_filter;
     engine_->set_raw_filter(*update.raw_filter);
   }
-  if (update.ondemand.has_value()) {
-    config_.engine.enable_ondemand = *update.ondemand;
-    engine_->set_ondemand(*update.ondemand);
-  }
   if (update.cache_budget_bytes.has_value()) {
     config_.cache_budget_bytes = *update.cache_budget_bytes;
   }
@@ -312,7 +308,6 @@ SessionStats MaxsonSession::stats() const {
   stats.tracing_enabled = trace_recorder_.enabled();
   stats.simd_isa = simd::IsaName(simd::ActiveIsa());
   stats.fault_injection = storage::FaultInjector::Instance().spec();
-  stats.ondemand_enabled = config_.engine.enable_ondemand;
   const exec::SharedScanStats shared =
       engine_->shared_scan_manager()->stats();
   stats.sharedscan_subscribers = shared.subscribers;
@@ -336,11 +331,6 @@ void RegisterSessionOptions(OptionRegistry* registry, MaxsonSession* session) {
   registry->RegisterBool("rawfilter", "on|off", [session](bool on) {
     SessionUpdate update;
     update.raw_filter = on;
-    return session->UpdateConfig(update);
-  });
-  registry->RegisterBool("ondemand", "on|off", [session](bool on) {
-    SessionUpdate update;
-    update.ondemand = on;
     return session->UpdateConfig(update);
   });
   registry->RegisterUint64("budget", "BYTES", [session](uint64_t bytes) {

@@ -69,10 +69,6 @@ struct SessionUpdate {
   std::optional<bool> tracing;
   /// Toggles the Sparser-style raw-byte prefilter.
   std::optional<bool> raw_filter;
-  /// Toggles the on-demand JSON parsing tier: selective path sets resolve
-  /// by cursoring the SIMD structural tape instead of a full DOM parse
-  /// (see json/ondemand_parser.h). Results are byte-identical either way.
-  std::optional<bool> ondemand;
   /// Cache budget (bytes) of the next midnight cycle (0 = cache nothing,
   /// the Fig. 11 zero-budget baseline).
   std::optional<uint64_t> cache_budget_bytes;
@@ -107,8 +103,6 @@ struct SessionStats {
   std::string simd_isa;
   /// Canonical armed fault-injection spec, or "off".
   std::string fault_injection;
-  /// On-demand parsing tier knob (see json/ondemand_parser.h).
-  bool ondemand_enabled = false;
   /// Shared-scan lifetime totals (see exec/shared_scan.h): scheduling
   /// counters, not deterministic query outcomes.
   uint64_t sharedscan_subscribers = 0;
@@ -286,7 +280,7 @@ class MaxsonSession {
 };
 
 /// Registers the session's runtime knobs ("set KNOB VALUE") on `registry`:
-/// threads, trace, rawfilter, ondemand, budget, isa, faultinject. Every
+/// threads, trace, rawfilter, budget, isa, faultinject. Every
 /// setter routes through the one validated UpdateConfig entry point, so
 /// registry-driven frontends (the shell) and programmatic callers share
 /// identical validation. `session` must outlive the registry.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -20,7 +21,6 @@
 #include "json/dom_parser.h"
 #include "json/json_path.h"
 #include "json/mison_parser.h"
-#include "json/ondemand_parser.h"
 #include "json/raw_filter.h"
 #include "obs/metric_names.h"
 #include "obs/metrics_registry.h"
@@ -103,7 +103,8 @@ const xml::XmlPath* QueryEngine::CachedXmlPath(const std::string& text) {
 void QueryEngine::RegisterBuiltinFunctions() {
   // get_json_object(json_string, json_path): the workhorse of the paper's
   // workload. Its wall time is attributed to the Parse phase, into the
-  // calling worker's metrics accumulator.
+  // calling worker's metrics accumulator, which also counts each document
+  // parsed: once per record under kDom, once per call otherwise.
   functions_["get_json_object"] = [this](const std::vector<Value>& args,
                                          const EvalContext& ctx) -> Value {
     if (args.size() != 2 || args[0].is_null() || args[1].is_null()) {
@@ -115,35 +116,26 @@ void QueryEngine::RegisterBuiltinFunctions() {
     if (path == nullptr) return Value::Null();
 
     Stopwatch timer;
+    bool parsed = true;
     Result<std::string> extracted = [&]() -> Result<std::string> {
       if (config_.json_backend == JsonBackend::kMison) {
         if (ctx.mison != nullptr) return ctx.mison->Extract(text, *path);
         json::MisonParser mison;
         return mison.Extract(text, *path);
       }
-      if (config_.enable_ondemand && ctx.ondemand != nullptr) {
-        const uint64_t skipped_before = ctx.ondemand->skipped_bytes();
-        Result<std::string> ondemand = ctx.ondemand->Extract(text, *path);
-        // NotFound is a definitive answer (the differential tests prove the
-        // tiers agree on missing paths); only structural failures re-parse
-        // through the DOM tier so results stay byte-identical either way.
-        if (ondemand.ok() ||
-            ondemand.status().code() == StatusCode::kNotFound) {
-          if (ctx.metrics != nullptr) {
-            ++ctx.metrics->ondemand_records;
-            ctx.metrics->ondemand_skipped_bytes +=
-                ctx.ondemand->skipped_bytes() - skipped_before;
-          }
-          return ondemand;
-        }
-        if (ctx.metrics != nullptr) ++ctx.metrics->ondemand_fallbacks;
+      if (config_.json_backend == JsonBackend::kDom && ctx.dom != nullptr) {
+        Result<std::string> value = ctx.dom->Extract(text, *path);
+        parsed = ctx.dom->parsed();
+        return value;
       }
       return json::GetJsonObject(text, *path);
     }();
     if (ctx.metrics != nullptr) {
       ctx.metrics->parse_seconds += timer.ElapsedSeconds();
-      ++ctx.metrics->parse.records_parsed;
-      ctx.metrics->parse.bytes_parsed += text.size();
+      if (parsed) {
+        ++ctx.metrics->parse.records_parsed;
+        ctx.metrics->parse.bytes_parsed += text.size();
+      }
     }
     if (!extracted.ok()) return Value::Null();
     return Value::String(std::move(*extracted));
@@ -334,7 +326,6 @@ Result<QueryResult> QueryEngine::Execute(const std::string& sql) {
   // of the engine config land here instead of new ExecutePlan parameters).
   ExecContext exec_ctx;
   exec_ctx.pool = pool_.get();
-  exec_ctx.enable_ondemand = config_.enable_ondemand;
   exec_ctx.scan_validity = scan_validity_source_ ? scan_validity_source_() : 0;
   MAXSON_ASSIGN_OR_RETURN(QueryResult executed, ExecutePlan(plan, exec_ctx));
   executed.metrics.plan_seconds = plan_seconds;
@@ -370,12 +361,6 @@ void QueryEngine::PublishMetrics(const QueryMetrics& metrics) {
       ->Increment(metrics.cache_columns_read);
   reg.GetCounter(obs::kQueryRawFilteredRows)
       ->Increment(metrics.raw_filtered_rows);
-  reg.GetCounter(obs::kOndemandRecords)
-      ->Increment(metrics.ondemand_records);
-  reg.GetCounter(obs::kOndemandSkippedBytes)
-      ->Increment(metrics.ondemand_skipped_bytes);
-  reg.GetCounter(obs::kOndemandFallbacks)
-      ->Increment(metrics.ondemand_fallbacks);
   reg.GetCounter(obs::kCacheCorruption)
       ->Increment(metrics.cache_corruption_fallbacks);
   reg.GetCounter(obs::kPlanCacheHits)
@@ -400,7 +385,9 @@ void QueryEngine::PublishMetrics(const QueryMetrics& metrics) {
 namespace {
 
 /// Serialized grouping key: values rendered with a type tag and separator so
-/// distinct tuples never collide.
+/// distinct tuples never collide. Numbers key exactly: a double equal to an
+/// int64 keys as that integer (2 and 2.0 group together, and so do -0.0 and
+/// 0), any other double by its round-trip %.17g rendering.
 std::string GroupKey(const std::vector<Value>& values) {
   std::string key;
   for (const Value& v : values) {
@@ -408,6 +395,16 @@ std::string GroupKey(const std::vector<Value>& values) {
       key += "\x01N";
     } else if (v.is_string()) {
       key += "\x01S" + v.string_value();
+    } else if (v.is_double()) {
+      const double d = v.double_value();
+      if (std::trunc(d) == d && d >= -0x1p63 && d < 0x1p63) {
+        key += "\x01V" + std::to_string(static_cast<int64_t>(d));
+      } else {
+        char buffer[32];
+        std::snprintf(buffer, sizeof(buffer), "%.17g", d);
+        key += "\x01V";
+        key += buffer;
+      }
     } else {
       key += "\x01V" + v.ToString();
     }
@@ -516,17 +513,15 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
   // finalization); chunk fan-outs give each chunk a private copy (see
   // OperatorTimer::ForEachChunk). The parsers are query-local so
   // concurrent Execute calls (the serving layer runs many sessions on one
-  // engine) never share mutable parser state; the builtin gates on the
-  // enable_ondemand knob, so wiring the on-demand parser unconditionally
-  // costs nothing.
+  // engine) never share mutable parser state.
   json::MisonParser query_mison;
-  json::OndemandParser query_ondemand;
+  json::DocumentExtractor query_dom;
   EvalContext ctx;
   ctx.lookup_function = &LookupEngineFunction;
   ctx.lookup_hook = this;
   ctx.metrics = &metrics;
   ctx.mison = &query_mison;
-  ctx.ondemand = &query_ondemand;
+  ctx.dom = &query_dom;
 
   // ---- Scan (and join) ----
   OperatorTimer scan_timer("Scan", &metrics, start);

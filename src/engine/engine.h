@@ -29,9 +29,15 @@ class TraceRecorder;
 namespace maxson::engine {
 
 /// Which JSON parser backs get_json_object, mirroring the paper's Fig. 15
-/// configurations: kDom = Spark+Jackson (full deserialization), kMison =
-/// Spark+Mison (structural-index projection).
-enum class JsonBackend { kDom, kMison };
+/// configurations:
+///   kDom        full DOM deserialization, once per record: the calls one
+///               operator makes on one record share a single parse
+///               (json::DocumentExtractor). The default.
+///   kDomPerCall Spark+Jackson, the paper's baseline: one full DOM parse
+///               per call, however many calls share a record.
+///   kMison      Spark+Mison: structural-index projection, per path.
+/// All three return byte-identical rows.
+enum class JsonBackend { kDom, kDomPerCall, kMison };
 
 struct EngineConfig {
   JsonBackend json_backend = JsonBackend::kDom;
@@ -41,15 +47,6 @@ struct EngineConfig {
   /// happens. Sound for standard-encoded JSON (see json/raw_filter.h);
   /// opt-in because exotic escape-encoded data could defeat the needle.
   bool enable_raw_filter = false;
-  /// On-demand parsing tier (json/ondemand_parser.h): under the kDom
-  /// backend, uncached get_json_object extraction and the corruption
-  /// re-derive path resolve selective path sets by cursoring a SIMD
-  /// structural tape instead of materializing the whole DOM, falling back
-  /// to the DOM parser per record on any on-demand error. Results are
-  /// byte-identical on well-formed data; see DESIGN.md, "On-demand parsing
-  /// tier" for the skipped-subtree validation contract that makes this
-  /// opt-in.
-  bool enable_ondemand = false;
   /// Parallelism degree of query execution (the paper's splits-across-
   /// executors model, in process): splits are scanned and row chunks are
   /// evaluated on this many threads. 0 = hardware concurrency; 1 runs
@@ -123,10 +120,6 @@ class QueryEngine {
   /// the change applies from the next Execute on. Same thread-safety
   /// contract as set_num_threads.
   void set_raw_filter(bool enabled) { config_.enable_raw_filter = enabled; }
-
-  /// Toggles the on-demand parsing tier; consulted per query. Same
-  /// thread-safety contract as set_num_threads.
-  void set_ondemand(bool enabled) { config_.enable_ondemand = enabled; }
 
   /// The shared-scan manager every scan of this engine subscribes to, so
   /// concurrent queries over one table coalesce into one parse pass per

@@ -24,9 +24,6 @@ struct ExecContext {
   /// Cache-state stamp (CacheRegistry version) keying shared-scan groups:
   /// queries planned across an invalidation never share passes.
   uint64_t scan_validity = 0;
-  /// Route uncached JSON extraction (selective path sets only) through the
-  /// on-demand parsing tier; set from EngineConfig::enable_ondemand.
-  bool enable_ondemand = false;
   /// Cooperative cancellation: checked between split passes and between
   /// operators, never mid-pass. Null = uncancellable.
   const std::atomic<bool>* cancel = nullptr;

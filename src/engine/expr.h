@@ -11,8 +11,8 @@
 #include "storage/types.h"
 
 namespace maxson::json {
+class DocumentExtractor;
 class MisonParser;
-class OndemandParser;
 }  // namespace maxson::json
 
 namespace maxson::engine {
@@ -144,11 +144,10 @@ struct EvalContext {
   /// on every extraction, so workers must not share one); null falls back
   /// to the engine's single-threaded parser.
   json::MisonParser* mison = nullptr;
-  /// Per-worker on-demand parser (its tape scratch mutates per record, so
-  /// workers must not share one). Non-null only when the engine's
-  /// enable_ondemand knob is on; null keeps get_json_object on the
-  /// configured DOM/Mison backend.
-  json::OndemandParser* ondemand = nullptr;
+  /// Per-worker DOM extractor of the kDom backend: it holds the last
+  /// record's parse, so the get_json_object calls one worker makes on one
+  /// record share a single parse. Null parses per call.
+  json::DocumentExtractor* dom = nullptr;
 };
 
 /// Evaluates a bound, aggregate-free expression for one row. NULL propagates

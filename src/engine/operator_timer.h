@@ -10,8 +10,8 @@
 #include "engine/expr.h"
 #include "engine/plan.h"
 #include "exec/thread_pool.h"
+#include "json/json_path.h"
 #include "json/mison_parser.h"
-#include "json/ondemand_parser.h"
 
 namespace maxson::engine {
 
@@ -100,11 +100,11 @@ class OperatorTimer {
       return exec::ParallelFor(pool, chunks.size(), [&](size_t c) {
         return Task(c, [&]() -> Status {
           json::MisonParser mison;
-          json::OndemandParser ondemand;
+          json::DocumentExtractor dom;
           EvalContext wctx = ctx;
           wctx.metrics = &chunk_metrics[c];
           wctx.mison = &mison;
-          wctx.ondemand = &ondemand;
+          wctx.dom = &dom;
           return body(c, chunks[c], wctx);
         });
       });

@@ -135,14 +135,6 @@ struct QueryMetrics {
   /// and were re-derived from the raw file instead. Deterministic: which
   /// splits are corrupt is a property of the files, not of scheduling.
   uint64_t cache_corruption_fallbacks = 0;
-  /// On-demand parsing tier (json/ondemand_parser.h): records resolved by
-  /// tape cursoring, bytes the cursor skipped without token-parsing, and
-  /// records that fell back to the DOM parser on an on-demand error.
-  /// Deterministic: which records take which tier is a property of the
-  /// bytes and the requested paths, not of scheduling.
-  uint64_t ondemand_records = 0;
-  uint64_t ondemand_skipped_bytes = 0;
-  uint64_t ondemand_fallbacks = 0;
   /// Plan-rewrite cache accounting, copied from the PhysicalPlan when the
   /// plan executes (see PhysicalPlan::rewrite_cache_*).
   uint64_t plan_cache_hits = 0;
@@ -168,9 +160,6 @@ struct QueryMetrics {
     cache_columns_read += other.cache_columns_read;
     raw_filtered_rows += other.raw_filtered_rows;
     cache_corruption_fallbacks += other.cache_corruption_fallbacks;
-    ondemand_records += other.ondemand_records;
-    ondemand_skipped_bytes += other.ondemand_skipped_bytes;
-    ondemand_fallbacks += other.ondemand_fallbacks;
     plan_cache_hits += other.plan_cache_hits;
     plan_cache_misses += other.plan_cache_misses;
     plan_cache_fallbacks += other.plan_cache_fallbacks;

@@ -1,5 +1,6 @@
 #include "engine/table_scan.h"
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <optional>
@@ -10,7 +11,6 @@
 #include "engine/planner.h"
 #include "exec/shared_scan.h"
 #include "json/json_path.h"
-#include "json/ondemand_parser.h"
 #include "storage/corc_reader.h"
 #include "storage/file_system.h"
 #include "xml/xml_path.h"
@@ -40,12 +40,6 @@ Status CheckColumnType(const Schema& file, int idx, TypeKind scan_type,
                             path + ", the scan reads " +
                             storage::TypeKindName(scan_type));
 }
-
-/// A path set counts as selective — worth tape-cursoring instead of one
-/// full DOM parse — up to this many JSONPaths per source column. Beyond it
-/// the DOM parse amortizes better across paths (the Fig. 15 crossover;
-/// measured in bench/fig15_parsers.cc).
-constexpr size_t kOndemandMaxPaths = 4;
 
 /// Reads one split, combining raw and cached columns — the cache half of
 /// Algorithm 2's value combiner; on cache corruption the caller retries
@@ -231,11 +225,12 @@ Status ScanSplitCached(const std::vector<exec::ColumnKey>& columns,
 /// it was originally extracted from — exactly what the query would have
 /// done with caching disabled, so the rows are byte-identical either way.
 /// Only possible when every cache column's key carries its source column
-/// and path (MaxsonParser always fills them).
+/// and path (MaxsonParser always fills them). Each JSON source column is
+/// parsed once per row, however many of its paths are re-derived.
 Status ScanSplitRawFallback(const std::vector<exec::ColumnKey>& columns,
                             const std::vector<exec::ScanPredicate>& predicates,
-                            const std::string& path, bool enable_ondemand,
-                            RecordBatch* out, QueryMetrics* metrics) {
+                            const std::string& path, RecordBatch* out,
+                            QueryMetrics* metrics) {
   CorcReader primary(path);
   MAXSON_RETURN_NOT_OK(primary.Open());
 
@@ -296,35 +291,13 @@ Status ScanSplitRawFallback(const std::vector<exec::ColumnKey>& columns,
       read_columns.push_back(src.column);
     }
   }
-  // Group the JSON-path sources by source column: a selective group
-  // (1..kOndemandMaxPaths paths) re-derives through the on-demand tier
-  // with one tape pass per record instead of one DOM parse per path.
-  // Oversized groups, and XML sources, stay on the DOM tier.
-  struct OndemandGroup {
-    size_t slot = 0;                 // batch slot of the source column
-    std::vector<size_t> source_idx;  // indexes into `sources`
-    std::vector<json::JsonPath> paths;
-  };
-  std::vector<OndemandGroup> ondemand_groups;
-  if (enable_ondemand) {
-    std::map<int, size_t> group_of;  // file column index -> group index
-    for (size_t i = 0; i < sources.size(); ++i) {
-      if (sources[i].is_xml) continue;
-      auto [it, inserted] =
-          group_of.emplace(sources[i].column, ondemand_groups.size());
-      if (inserted) {
-        OndemandGroup g;
-        g.slot = slot_of.at(sources[i].column);
-        ondemand_groups.push_back(std::move(g));
-      }
-      ondemand_groups[it->second].source_idx.push_back(i);
-      ondemand_groups[it->second].paths.push_back(sources[i].json_path);
-    }
-    std::erase_if(ondemand_groups, [](const OndemandGroup& g) {
-      return g.paths.size() > kOndemandMaxPaths;
-    });
-  }
-  json::OndemandParser ondemand;
+  // One extractor serves the split: with a column's sources adjacent, it
+  // parses each JSON source column once per row.
+  std::stable_sort(sources.begin(), sources.end(),
+                   [](const SourceWork& a, const SourceWork& b) {
+                     return a.column < b.column;
+                   });
+  json::DocumentExtractor dom;
 
   for (size_t s = 0; s < primary.num_stripes(); ++s) {
     std::vector<bool> include;
@@ -345,45 +318,7 @@ Status ScanSplitRawFallback(const std::vector<exec::ColumnKey>& columns,
       for (size_t c = 0; c < raw_indexes.size(); ++c) {
         row[raw_slots[c]] = batch.column(c).GetValue(r);
       }
-      // On-demand precomputation: one tape pass per record per selective
-      // group. Any record-level error falls back to the DOM tier below
-      // (slots stay unset); per-slot errors likewise fall back per slot,
-      // so the combined rows are byte-identical with the tier off.
-      std::vector<std::optional<storage::Value>> precomputed(sources.size());
-      for (const OndemandGroup& g : ondemand_groups) {
-        if (batch.column(g.slot).IsNull(r)) continue;
-        const std::string& text = batch.column(g.slot).GetString(r);
-        std::vector<Result<std::string>> values;
-        const uint64_t skipped_before = ondemand.skipped_bytes();
-        const Status extract_status = ondemand.ExtractAll(text, g.paths,
-                                                          &values);
-        if (!extract_status.ok()) {
-          ++metrics->ondemand_fallbacks;
-          continue;
-        }
-        ++metrics->ondemand_records;
-        metrics->ondemand_skipped_bytes +=
-            ondemand.skipped_bytes() - skipped_before;
-        ++metrics->parse.records_parsed;
-        metrics->parse.bytes_parsed += text.size();
-        for (size_t k = 0; k < g.source_idx.size(); ++k) {
-          const Result<std::string>& v = values[k];
-          if (v.ok()) {
-            precomputed[g.source_idx[k]] = storage::Value::String(*v);
-          } else if (v.status().code() == StatusCode::kNotFound) {
-            // Absent path -> NULL, matching get_json_object below.
-            precomputed[g.source_idx[k]] = storage::Value::Null();
-          } else {
-            ++metrics->ondemand_fallbacks;
-          }
-        }
-      }
-      for (size_t i = 0; i < sources.size(); ++i) {
-        const SourceWork& src = sources[i];
-        if (precomputed[i].has_value()) {
-          row[src.slot] = std::move(*precomputed[i]);
-          continue;
-        }
+      for (const SourceWork& src : sources) {
         const size_t slot = slot_of.at(src.column);
         if (batch.column(slot).IsNull(r)) {
           row[src.slot] = storage::Value::Null();
@@ -392,9 +327,11 @@ Status ScanSplitRawFallback(const std::vector<exec::ColumnKey>& columns,
         const std::string& text = batch.column(slot).GetString(r);
         Result<std::string> value =
             src.is_xml ? xml::GetXmlObject(text, src.xml_path)
-                       : json::GetJsonObject(text, src.json_path);
-        ++metrics->parse.records_parsed;
-        metrics->parse.bytes_parsed += text.size();
+                       : dom.Extract(text, src.json_path);
+        if (src.is_xml || dom.parsed()) {
+          ++metrics->parse.records_parsed;
+          metrics->parse.bytes_parsed += text.size();
+        }
         // Absent path -> NULL, matching get_json_object and the cacher.
         row[src.slot] = value.ok() ? storage::Value::String(std::move(*value))
                                    : storage::Value::Null();
@@ -414,8 +351,7 @@ Status ScanSplitRawFallback(const std::vector<exec::ColumnKey>& columns,
 Status ScanSplit(const std::vector<exec::ColumnKey>& columns,
                  const std::vector<exec::ScanPredicate>& predicates,
                  const std::string& path, size_t split_index,
-                 bool enable_ondemand, RecordBatch* out,
-                 QueryMetrics* metrics) {
+                 RecordBatch* out, QueryMetrics* metrics) {
   Status status =
       ScanSplitCached(columns, predicates, path, split_index, out, metrics);
   if (!status.IsCorruption()) return status;
@@ -433,8 +369,7 @@ Status ScanSplit(const std::vector<exec::ColumnKey>& columns,
   *out = RecordBatch(out->schema());
   *metrics = QueryMetrics();
   ++metrics->cache_corruption_fallbacks;
-  return ScanSplitRawFallback(columns, predicates, path, enable_ondemand, out,
-                              metrics);
+  return ScanSplitRawFallback(columns, predicates, path, out, metrics);
 }
 
 /// Schema of a pass's union batch: one column per union key, in order.
@@ -498,8 +433,7 @@ Result<RecordBatch> ExecuteScan(const ScanNode& scan, OperatorTimer* timer,
       RecordBatch batch(UnionSchema(union_columns, scan.table_schema));
       QueryMetrics* slot = &morsel_metrics[ordinal];
       MAXSON_RETURN_NOT_OK(ScanSplit(union_columns, predicates, morsel.path,
-                                     morsel.index, ctx.enable_ondemand,
-                                     &batch, slot));
+                                     morsel.index, &batch, slot));
       exec::SharedPassOutput output;
       output.batch = std::move(batch);
       output.input_bytes = slot->read.bytes_read + slot->parse.bytes_parsed;

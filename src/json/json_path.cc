@@ -129,14 +129,34 @@ std::string RenderGetJsonObjectResult(const JsonValue& value) {
   return "";
 }
 
-Result<std::string> GetJsonObject(std::string_view json_text,
-                                  const JsonPath& path) {
-  MAXSON_ASSIGN_OR_RETURN(JsonValue root, ParseJson(json_text));
-  const JsonValue* node = path.Evaluate(root);
+namespace {
+
+/// get_json_object's answer for `path` given the document's parse result.
+Result<std::string> ExtractFromParsed(const Result<JsonValue>& root,
+                                      const JsonPath& path) {
+  if (!root.ok()) return root.status();
+  const JsonValue* node = path.Evaluate(*root);
   if (node == nullptr) {
     return Status::NotFound("JSONPath " + path.ToString() + " not present");
   }
   return RenderGetJsonObjectResult(*node);
+}
+
+}  // namespace
+
+Result<std::string> GetJsonObject(std::string_view json_text,
+                                  const JsonPath& path) {
+  return ExtractFromParsed(ParseJson(json_text), path);
+}
+
+Result<std::string> DocumentExtractor::Extract(std::string_view text,
+                                               const JsonPath& path) {
+  parsed_ = !root_.has_value() || text != text_;
+  if (parsed_) {
+    text_.assign(text);
+    root_ = ParseJson(text_);
+  }
+  return ExtractFromParsed(*root_, path);
 }
 
 }  // namespace maxson::json

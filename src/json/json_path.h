@@ -2,6 +2,7 @@
 #define MAXSON_JSON_JSON_PATH_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -66,6 +67,28 @@ Result<std::string> GetJsonObject(std::string_view json_text,
 
 /// Renders an already-evaluated DOM node in get_json_object style.
 std::string RenderGetJsonObjectResult(const JsonValue& value);
+
+/// get_json_object over a stream of documents, parsing each document once
+/// however many paths are asked of it: Extract(text, path) returns exactly
+/// what GetJsonObject(text, path) returns, but the extractor keeps the last
+/// document's text and its ParseJson result and re-parses only when the
+/// text differs. k calls on one record in a row therefore cost one DOM
+/// parse, with results byte-identical to k GetJsonObject calls by
+/// construction (same parser, same evaluator, same renderer, same errors).
+/// Holds mutable state: one extractor per worker.
+class DocumentExtractor {
+ public:
+  Result<std::string> Extract(std::string_view text, const JsonPath& path);
+
+  /// True when the last Extract call parsed its document (the text was
+  /// new); false when it reused the previous call's parse.
+  bool parsed() const { return parsed_; }
+
+ private:
+  std::string text_;
+  std::optional<Result<JsonValue>> root_;  // empty until the first Extract
+  bool parsed_ = false;
+};
 
 }  // namespace maxson::json
 

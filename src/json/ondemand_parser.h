@@ -29,11 +29,12 @@ namespace maxson::json {
 ///     (unterminated strings, unbalanced containers, nesting past the DOM
 ///     depth cap, trailing garbage) and malformed requested values return
 ///     ParseError; missing paths return the same NotFound the DOM path
-///     produces. The engine falls back to the DOM parser per record on any
-///     error, so query results never depend on this tier.
+///     produces.
 ///   - Documented divergence: token-level garbage confined to a subtree
 ///     the query skips is not detected (the bytes are never touched) —
-///     the one case where on-demand succeeds and DOM errors.
+///     the one case where on-demand succeeds and DOM errors. That keeps
+///     this tier a library and a bench subject: src/engine/ and src/core/
+///     do not include it (tools/lint.py, rule ondemand-query-path).
 class OndemandParser {
  public:
   OndemandParser() = default;
@@ -57,13 +58,6 @@ class OndemandParser {
   /// (record size minus materialized value spans and compared keys).
   uint64_t records_indexed() const { return records_indexed_; }
   uint64_t skipped_bytes() const { return skipped_bytes_; }
-
-  /// Adds another parser's telemetry to this one (one parser per worker,
-  /// folded in order).
-  void AbsorbTelemetry(const OndemandParser& other) {
-    records_indexed_ += other.records_indexed_;
-    skipped_bytes_ += other.skipped_bytes_;
-  }
 
  private:
   ondemand_internal::StructuralTape tape_;

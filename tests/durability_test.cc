@@ -207,6 +207,9 @@ TEST_F(DurabilityTest, CorruptionMatrixNeverReturnsWrongRows) {
     ASSERT_TRUE(result.ok()) << m.name << ": " << result.status();
     EXPECT_EQ(result->metrics.cache_corruption_fallbacks, 1u) << m.name;
     ExpectSameRows(result, expected, m.name);
+    // The fallback re-derives both cached paths of the victim split's 700
+    // records from one parse per record.
+    EXPECT_EQ(result->metrics.parse.records_parsed, 700u) << m.name;
 
     // Restore and confirm the cache serves cleanly again: the quarantine is
     // per-query, not a permanent invalidation.

@@ -1,8 +1,11 @@
 // Edge-case sweep for the engine: NULL semantics, empty inputs, multi-key
-// ordering, joins with empty/NULL sides, LIMIT extremes, and a
-// parameterized truth table for binary operators.
+// ordering, joins with empty/NULL sides, LIMIT extremes, exact keys for
+// doubles in GROUP BY / DISTINCT / joins, and a parameterized truth table
+// for binary operators.
 
 #include <filesystem>
+#include <string>
+#include <vector>
 
 #include "catalog/catalog.h"
 #include "engine/engine.h"
@@ -52,6 +55,13 @@ class EngineEdgeTest : public ::testing::Test {
     ASSERT_TRUE(empty_writer.Open().ok());
     ASSERT_TRUE(empty_writer.Close().ok());
     Register("empty", schema, dir_ + "/empty");
+
+    // Doubles that print alike under %.6g, and numbers that are equal but
+    // typed or signed differently.
+    WriteJsonTable("dv", {R"({"v":1.0000001})", R"({"v":1.0000002})",
+                          R"({"v":1.0000003})"});
+    WriteJsonTable("dz", {R"({"v":2})", R"({"v":2.0})", R"({"v":-0.0})",
+                          R"({"v":0})"});
   }
   void TearDown() override { ASSERT_TRUE(FileSystem::RemoveAll(dir_).ok()); }
 
@@ -65,9 +75,31 @@ class EngineEdgeTest : public ::testing::Test {
     ASSERT_TRUE(catalog_.CreateTable(info).ok());
   }
 
-  QueryResult Run(const std::string& sql) {
+  /// Writes table `name` of (id, payload) rows, one per payload.
+  void WriteJsonTable(const std::string& name,
+                      const std::vector<std::string>& payloads) {
+    Schema schema;
+    schema.AddField("id", TypeKind::kInt64);
+    schema.AddField("payload", TypeKind::kString);
+    ASSERT_TRUE(FileSystem::MakeDirs(dir_ + "/" + name).ok());
+    storage::CorcWriter writer(
+        dir_ + "/" + name + "/" + FileSystem::PartFileName(0), schema, {});
+    ASSERT_TRUE(writer.Open().ok());
+    for (size_t i = 0; i < payloads.size(); ++i) {
+      ASSERT_TRUE(writer
+                      .AppendRow({Value::Int64(static_cast<int64_t>(i)),
+                                  Value::String(payloads[i])})
+                      .ok());
+    }
+    ASSERT_TRUE(writer.Close().ok());
+    Register(name, schema, dir_ + "/" + name);
+  }
+
+  /// Executes `sql` on an engine of `threads` workers (0 = all cores).
+  QueryResult Run(const std::string& sql, size_t threads = 0) {
     EngineConfig config;
     config.default_database = "db";
+    config.num_threads = threads;
     QueryEngine engine(&catalog_, config);
     auto result = engine.Execute(sql);
     EXPECT_TRUE(result.ok()) << sql << " -> " << result.status();
@@ -164,6 +196,50 @@ TEST_F(EngineEdgeTest, WhereOnJoinOutputFiltersPairs) {
       "WHERE a.id < b.id");
   // From 16 'a'-pairs: C(4,2)=6 ordered; from 9 'b'-pairs: C(3,2)=3.
   EXPECT_EQ(r.batch.num_rows(), 9u);
+}
+
+TEST_F(EngineEdgeTest, DoublesAgreeingToSixDigitsKeyApart) {
+  // 1.0000001, 1.0000002 and 1.0000003 render alike with %.6g; DISTINCT,
+  // GROUP BY and join keys must still tell them apart.
+  const std::string v = "to_double(get_json_object(payload, '$.v'))";
+  for (const size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    EXPECT_EQ(Run("SELECT DISTINCT " + v + " FROM dv", threads)
+                  .batch.num_rows(),
+              3u);
+    QueryResult grouped = Run(
+        "SELECT " + v + " AS v, COUNT(*) AS n FROM dv GROUP BY " + v,
+        threads);
+    EXPECT_EQ(grouped.batch.num_rows(), 3u);
+    for (size_t r = 0; r < grouped.batch.num_rows(); ++r) {
+      EXPECT_EQ(grouped.batch.column(1).GetValue(r).int64_value(), 1);
+    }
+    EXPECT_EQ(Run("SELECT a.id FROM db.dv a JOIN db.dv b ON "
+                  "to_double(get_json_object(a.payload, '$.v')) = "
+                  "to_double(get_json_object(b.payload, '$.v'))",
+                  threads)
+                  .batch.num_rows(),
+              3u);
+  }
+}
+
+TEST_F(EngineEdgeTest, EqualNumbersKeyTogetherAcrossTypeAndSign) {
+  // 2 and 2.0 are one key, and so are -0.0 and 0, as they compare equal.
+  for (const size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    EXPECT_EQ(Run("SELECT DISTINCT to_double(get_json_object(payload, "
+                  "'$.v')) FROM dz",
+                  threads)
+                  .batch.num_rows(),
+              2u);
+    // to_int yields int64 2, 2, 0, 0; to_double yields 2.0, 2.0, -0.0, 0.0.
+    EXPECT_EQ(Run("SELECT a.id FROM db.dz a JOIN db.dz b ON "
+                  "to_int(get_json_object(a.payload, '$.v')) = "
+                  "to_double(get_json_object(b.payload, '$.v'))",
+                  threads)
+                  .batch.num_rows(),
+              8u);
+  }
 }
 
 struct BinOpCase {

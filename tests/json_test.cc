@@ -1,4 +1,6 @@
+#include <iterator>
 #include <string>
+#include <vector>
 
 #include "common/random.h"
 #include "gtest/gtest.h"
@@ -220,6 +222,40 @@ TEST(GetJsonObjectTest, RendersLikeHive) {
   EXPECT_EQ(*GetJsonObject(json, *JsonPath::Parse("$.nil")), "null");
   EXPECT_EQ(GetJsonObject(json, *JsonPath::Parse("$.absent")).status().code(),
             StatusCode::kNotFound);
+}
+
+TEST(DocumentExtractorTest, AgreesWithGetJsonObjectAndParsesOncePerDocument) {
+  // Documents in row order, including a repeat, a different text of the
+  // same length, a parse error, a truncated record and duplicate keys;
+  // every path is asked of every document.
+  const std::vector<std::string> docs = {
+      R"({"a":1,"b":{"c":[true,null]},"s":"x"})",
+      R"({"a":1,"b":{"c":[true,null]},"s":"x"})",
+      R"({"a":7,"b":{"c":[false,0.5]},"s":"y"})",
+      R"({"junk":truu,"b":1})",
+      R"({"a":2,"b":)",
+      R"({"a":3,"a":4})",
+      "",
+  };
+  const char* paths[] = {"$.a", "$.b", "$.b.c[0]", "$.s", "$.missing"};
+  DocumentExtractor extractor;
+  for (size_t d = 0; d < docs.size(); ++d) {
+    for (size_t p = 0; p < std::size(paths); ++p) {
+      const JsonPath path = *JsonPath::Parse(paths[p]);
+      const Result<std::string> expected = GetJsonObject(docs[d], path);
+      const Result<std::string> actual = extractor.Extract(docs[d], path);
+      ASSERT_EQ(actual.ok(), expected.ok()) << docs[d] << " " << paths[p];
+      if (expected.ok()) {
+        EXPECT_EQ(*actual, *expected) << docs[d] << " " << paths[p];
+      } else {
+        EXPECT_EQ(actual.status().code(), expected.status().code());
+        EXPECT_EQ(actual.status().message(), expected.status().message());
+      }
+      // Only the first path of a new text parses; docs[1] repeats docs[0].
+      EXPECT_EQ(extractor.parsed(), p == 0 && d != 1)
+          << docs[d] << " " << paths[p];
+    }
+  }
 }
 
 TEST(StructuralIndexTest, FindsColonsWithLevels) {

@@ -95,6 +95,22 @@ TEST_F(ShellTest, MalformedSetValuesAreRejectedWithErrors) {
   EXPECT_EQ(output.find("corcencoding"), std::string::npos) << output;
 }
 
+TEST_F(ShellTest, OndemandIsNotAnOption) {
+  // The on-demand tier is a library and a bench subject, not an engine
+  // setting: `set ondemand` is an unknown option, and neither the usage
+  // line nor .help nor .stats mentions it.
+  const std::string output = RunShell(
+      "set ondemand on\n"
+      ".help\n"
+      ".stats\n"
+      ".quit\n");
+  const std::string rejected = "unknown option 'ondemand'";
+  const size_t at = output.find(rejected);
+  ASSERT_NE(at, std::string::npos) << output;
+  EXPECT_EQ(output.find("ondemand", at + rejected.size()), std::string::npos)
+      << output;
+}
+
 TEST_F(ShellTest, MalformedSetLeavesSessionUsable) {
   // A rejected knob must not half-apply: threads stays at its start value
   // (1) after the bad `set threads`, and valid commands still work.

@@ -25,15 +25,18 @@
 #           streams) re-runs standalone the same two ways: decoders read
 #           attacker-controlled bytes. So does the cached-vs-uncached
 #           differential test, whose numeric-edge corpus drives the
-#           writer's bounds, the casts and SARG pruning.
+#           writer's bounds, the casts and SARG pruning, and the
+#           extraction differential test, which holds once-per-record DOM
+#           extraction to the per-call baseline's rows.
 #   tsan    ThreadSanitizer build + full test suite (the parallel execution
 #           runtime must be race-clean); the metrics-determinism test, the
 #           CacheRegistry stress test, the serving-layer test, the
-#           shared-scan executor test, and the midnight-cycle-vs-queries
-#           race (bare sessions scan through the shared-scan scheduler
-#           while the cycle rewrites the cache) also run standalone so a
-#           racy counter, serving race, or scan-sharing race fails loudly
-#           by name.
+#           shared-scan executor test, the extraction differential test
+#           (one DOM extractor per worker chunk), and the
+#           midnight-cycle-vs-queries race (bare sessions scan through the
+#           shared-scan scheduler while the cycle rewrites the cache) also
+#           run standalone so a racy counter, serving race, scan-sharing
+#           race or shared extractor fails loudly by name.
 #   crash   Crash-consistency suite: the durability tests (corruption
 #           matrix, kill-at-every-fault-point midnight sweep) re-run
 #           standalone under Release and ASan, plus one run with the
@@ -166,6 +169,8 @@ if [[ "$run_tsan" == 1 ]]; then
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/serve_test
   echo "=== Shared-scan executor under TSan ==="
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/shared_scan_test
+  echo "=== Extraction differential test under TSan ==="
+  TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/extraction_differential_test
   echo "=== Midnight cycle racing queries under TSan ==="
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/parallel_exec_test \
     --gtest_filter='ParallelExecTest.MidnightCycleRacingQueriesIsSafe'
@@ -219,6 +224,17 @@ if [[ "$run_asan" == 1 ]]; then
   ASAN_OPTIONS="detect_leaks=1:halt_on_error=1" \
   UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
     ./build-asan/tests/cache_differential_test
+  # Once-per-record extraction must return the per-call baseline's rows on
+  # malformed, truncated and duplicate-key records as on the Table II data.
+  echo "=== Extraction differential test under ASan ==="
+  ASAN_OPTIONS="detect_leaks=1:halt_on_error=1" \
+  UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
+    ./build-asan/tests/extraction_differential_test
+  echo "=== Extraction differential test under ASan, forced-scalar ==="
+  MAXSON_FORCE_ISA=scalar \
+  ASAN_OPTIONS="detect_leaks=1:halt_on_error=1" \
+  UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
+    ./build-asan/tests/extraction_differential_test
 fi
 # Prove the env knob arms the injector outside of test code, then exercise
 # a short read end to end through the session knob path.

@@ -39,6 +39,11 @@ Encodes the project-specific invariants that generic tooling cannot know
                        every other layer consumes the tier through the
                        json/ondemand_parser.h API, so the tape layout can
                        change without rippling past its owning directory.
+  ondemand-query-path  json/ondemand_parser.h (the on-demand tier) may not be
+                       included from src/engine/ or src/core/: the tier does
+                       not validate the subtrees it skips, so it stays a
+                       library and a bench subject until it does, and the
+                       query path parses through the DOM parser (or Mison).
   exec-layering        src/exec/ is the scheduling layer *below* parsing and
                        execution: it must not include engine/json/xml/core/
                        serve/catalog/ml/workload/simd headers nor name the
@@ -140,6 +145,10 @@ SIMD_INTRINSICS_RE = re.compile(
     r"|__builtin_cpu_supports\b")
 ONDEMAND_TAPE_INCLUDE_RE = re.compile(
     r'#\s*include\s+"json/ondemand_tape\.h"')
+ONDEMAND_PARSER_INCLUDE_RE = re.compile(
+    r'#\s*include\s+"json/ondemand_parser\.h"')
+# ondemand-query-path: directories of the query path.
+ONDEMAND_BANNED_DIRS = ("src/engine/", "src/core/")
 EXEC_BANNED_INCLUDE_RE = re.compile(
     r'#\s*include\s+"(?:engine|json|xml|core|serve|catalog|ml|workload|simd)/')
 EXEC_BANNED_IDENT_RE = re.compile(
@@ -666,6 +675,17 @@ def check_ondemand_tape(root, rel, lines, out):
                 "the on-demand tier through json/ondemand_parser.h instead"))
 
 
+def check_ondemand_query_path(root, rel, lines, out):
+    if not rel.startswith(ONDEMAND_BANNED_DIRS):
+        return
+    for i, line in enumerate(lines, 1):
+        if ONDEMAND_PARSER_INCLUDE_RE.search(strip_line_comment(line)):
+            out.append(Violation(
+                "ondemand-query-path", rel, i,
+                "the on-demand tier skips subtrees unvalidated — the query "
+                "path extracts through json/json_path.h (DOM) or Mison"))
+
+
 def check_exec_layering(root, rel, lines, out):
     if not rel.startswith("src/exec/"):
         return
@@ -861,6 +881,7 @@ def run_lint(root, fix=False):
         check_counter_write(root, rel, lines, violations)
         check_simd_intrinsics(root, rel, lines, violations)
         check_ondemand_tape(root, rel, lines, violations)
+        check_ondemand_query_path(root, rel, lines, violations)
         check_exec_layering(root, rel, lines, violations)
         check_include_hygiene(root, rel, lines, violations)
         check_operator_timing(root, rel, lines, violations)
@@ -898,6 +919,13 @@ SELF_TEST_FILES = (
     ("ondemand-tape", "src/engine/bad_tape.cc",
      '#include "engine/bad_tape.h"\n'
      '#include "json/ondemand_tape.h"\n'),
+    # Both directories of the query path the on-demand tier stays out of.
+    ("ondemand-query-path", "src/engine/bad_ondemand.cc",
+     '#include "engine/bad_ondemand.h"\n'
+     '#include "json/ondemand_parser.h"\n'),
+    ("ondemand-query-path", "src/core/bad_ondemand.cc",
+     '#include "core/bad_ondemand.h"\n'
+     '#include "json/ondemand_parser.h"\n'),
     # Two exec-layering seeds pin both detection paths: the include ban and
     # the entry-point-identifier ban.
     ("exec-layering", "src/exec/bad_include.cc",
@@ -1026,7 +1054,8 @@ def self_test():
             if rule in fixed_left:
                 failures.append(f"--fix did not repair {rule}")
         for rule in ("thread-create", "wall-clock", "counter-write",
-                     "simd-intrinsics", "ondemand-tape", "exec-layering",
+                     "simd-intrinsics", "ondemand-tape",
+                     "ondemand-query-path", "exec-layering",
                      "operator-timing", "lock-order", "mutex-annotation", "status-discard",
                      "metric-name"):
             if rule not in fixed_left:

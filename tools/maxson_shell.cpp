@@ -25,7 +25,7 @@
 // (session knobs registered by core::RegisterSessionOptions route through
 // UpdateConfig; serving knobs by serve::RegisterServeOptions):
 //   set threads N | set trace on|off | set rawfilter on|off | set budget N
-//   set ondemand on|off | set isa scalar|sse2|avx2|auto
+//   set isa scalar|sse2|avx2|auto
 //   set faultinject fail:N|torn:N|short:N|off
 //   set resultcache on|off | set maxinflight N | set maxqueue N
 //
@@ -84,8 +84,6 @@ void PrintHelp() {
       "                     set rawfilter on|off, set budget BYTES,\n"
       "                     set isa scalar|sse2|avx2|auto (SIMD level),\n"
       "                     set faultinject fail:N|torn:N|short:N|off\n"
-      "set ondemand on|off  resolve selective path sets by cursoring the\n"
-      "                     SIMD structural tape instead of a full DOM parse\n"
       "set resultcache on|off  serve repeated SELECTs from the semantic\n"
       "                     result cache (off by default)\n"
       "set maxinflight N    admission: concurrent queries allowed\n"
@@ -213,7 +211,6 @@ int Run(const ShellOptions& options) {
             "tracing:        %s (%llu events)\n"
             "simd:           isa=%s\n"
             "faultinject:    %s\n"
-            "ondemand:       %s\n"
             "sharedscan:     %llu subscribers, %llu passes, %llu coalesced, "
             "%llu bytes saved\n",
             static_cast<unsigned long long>(stats.rewrite_cache_hits),
@@ -228,7 +225,6 @@ int Run(const ShellOptions& options) {
             stats.tracing_enabled ? "on" : "off",
             static_cast<unsigned long long>(stats.trace_events),
             stats.simd_isa.c_str(), stats.fault_injection.c_str(),
-            stats.ondemand_enabled ? "on" : "off",
             static_cast<unsigned long long>(stats.sharedscan_subscribers),
             static_cast<unsigned long long>(stats.sharedscan_parse_passes),
             static_cast<unsigned long long>(stats.sharedscan_coalesced_parses),
