@@ -26,8 +26,6 @@ const char* StatusCodeName(StatusCode code) {
       return "corruption";
     case StatusCode::kResourceExhausted:
       return "resource exhausted";
-    case StatusCode::kCancelled:
-      return "cancelled";
   }
   return "unknown";
 }

@@ -27,11 +27,6 @@ enum class StatusCode {
   /// was rejected without side effects and may be retried later; callers use
   /// this to shed load instead of queueing without bound.
   kResourceExhausted,
-  /// The caller asked for the operation to stop (ScanSubscription::Cancel,
-  /// an ExecContext cancel flag). Cooperative: work already completed for
-  /// co-subscribers of a shared pass is kept, the cancelled caller's own
-  /// result is abandoned.
-  kCancelled,
 };
 
 /// Returns the canonical lowercase name of a status code (e.g. "parse error").
@@ -82,16 +77,12 @@ class [[nodiscard]] Status {
   static Status ResourceExhausted(std::string msg) {
     return Status(StatusCode::kResourceExhausted, std::move(msg));
   }
-  static Status Cancelled(std::string msg) {
-    return Status(StatusCode::kCancelled, std::move(msg));
-  }
 
   bool ok() const { return code_ == StatusCode::kOk; }
   bool IsCorruption() const { return code_ == StatusCode::kCorruption; }
   bool IsResourceExhausted() const {
     return code_ == StatusCode::kResourceExhausted;
   }
-  bool IsCancelled() const { return code_ == StatusCode::kCancelled; }
   StatusCode code() const { return code_; }
   const std::string& message() const { return message_; }
 

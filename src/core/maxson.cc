@@ -4,7 +4,6 @@
 
 #include "common/logging.h"
 #include "common/time_util.h"
-#include "exec/shared_scan.h"
 #include "obs/metric_names.h"
 #include "simd/isa.h"
 #include "storage/file_system.h"
@@ -53,10 +52,6 @@ MaxsonSession::MaxsonSession(const catalog::Catalog* catalog,
   // request for an entry the registry dropped entirely is dangling.
   engine_->set_cache_binding_source(
       [this] { return CacheBindingSnapshot(); });
-  // Shared-scan groups are keyed by the registry version, so queries
-  // planned across a cache invalidation (midnight cycle, InvalidateCache)
-  // never coalesce onto passes executed against the old cache state.
-  engine_->set_scan_validity_source([this] { return registry_.version(); });
   cacher_ = std::make_unique<JsonPathCacher>(catalog_, config_.cache_root,
                                              config_.engine.json_backend);
   // Queries and midnight pre-parsing share one pool, so a deployment's
@@ -308,12 +303,6 @@ SessionStats MaxsonSession::stats() const {
   stats.tracing_enabled = trace_recorder_.enabled();
   stats.simd_isa = simd::IsaName(simd::ActiveIsa());
   stats.fault_injection = storage::FaultInjector::Instance().spec();
-  const exec::SharedScanStats shared =
-      engine_->shared_scan_manager()->stats();
-  stats.sharedscan_subscribers = shared.subscribers;
-  stats.sharedscan_parse_passes = shared.parse_passes;
-  stats.sharedscan_coalesced_parses = shared.coalesced_parses;
-  stats.sharedscan_saved_bytes = shared.saved_bytes;
   return stats;
 }
 

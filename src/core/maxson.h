@@ -103,12 +103,10 @@ struct SessionStats {
   std::string simd_isa;
   /// Canonical armed fault-injection spec, or "off".
   std::string fault_injection;
-  /// Shared-scan lifetime totals (see exec/shared_scan.h): scheduling
-  /// counters, not deterministic query outcomes.
-  uint64_t sharedscan_subscribers = 0;
+  /// Always 0: queries no longer share scans. Kept only because the
+  /// end-to-end benchmark (perfbench/setup.cc) still reads them.
   uint64_t sharedscan_parse_passes = 0;
   uint64_t sharedscan_coalesced_parses = 0;
-  uint64_t sharedscan_saved_bytes = 0;
 };
 
 /// The public facade tying Maxson's components together: a query engine

@@ -17,7 +17,6 @@
 #include "engine/planner.h"
 #include "engine/sql_parser.h"
 #include "engine/table_scan.h"
-#include "exec/shared_scan.h"
 #include "json/dom_parser.h"
 #include "json/json_path.h"
 #include "json/mison_parser.h"
@@ -45,8 +44,7 @@ const ScalarFunction* LookupEngineFunction(const std::string& name,
 QueryEngine::QueryEngine(const catalog::Catalog* catalog, EngineConfig config)
     : catalog_(catalog),
       config_(std::move(config)),
-      pool_(std::make_shared<exec::ThreadPool>(config_.num_threads)),
-      shared_scan_(std::make_unique<exec::SharedScanManager>()) {
+      pool_(std::make_shared<exec::ThreadPool>(config_.num_threads)) {
   RegisterBuiltinFunctions();
   if (!config_.force_isa.empty() && config_.force_isa != "auto") {
     simd::Isa want;
@@ -62,13 +60,6 @@ QueryEngine::QueryEngine(const catalog::Catalog* catalog, EngineConfig config)
 }
 
 QueryEngine::~QueryEngine() = default;
-
-void QueryEngine::set_metrics_registry(obs::MetricsRegistry* registry) {
-  metrics_registry_ = registry;
-  // The shared-scan manager publishes its cross-query scheduling counters
-  // to the same registry as the per-query series.
-  shared_scan_->set_metrics_registry(registry);
-}
 
 void QueryEngine::set_num_threads(size_t num_threads) {
   config_.num_threads = num_threads;
@@ -322,12 +313,7 @@ Result<QueryResult> QueryEngine::Execute(const std::string& sql) {
     return result;
   }
 
-  // Gather the engine-level execution state into one context (satellites
-  // of the engine config land here instead of new ExecutePlan parameters).
-  ExecContext exec_ctx;
-  exec_ctx.pool = pool_.get();
-  exec_ctx.scan_validity = scan_validity_source_ ? scan_validity_source_() : 0;
-  MAXSON_ASSIGN_OR_RETURN(QueryResult executed, ExecutePlan(plan, exec_ctx));
+  MAXSON_ASSIGN_OR_RETURN(QueryResult executed, ExecutePlan(plan, pool_.get()));
   executed.metrics.plan_seconds = plan_seconds;
   PublishMetrics(executed.metrics);
   if (stmt.kind == StatementKind::kExplainAnalyze) {
@@ -498,7 +484,7 @@ void RecordTrace(obs::TraceRecorder* tracer, MonotonicTime start,
 }  // namespace
 
 Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
-                                             const ExecContext& exec_ctx) {
+                                             exec::ThreadPool* pool) {
   const MonotonicTime start = MonotonicNow();
   QueryResult result;
   QueryMetrics& metrics = result.metrics;
@@ -507,7 +493,6 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
   metrics.plan_cache_hits = plan.rewrite_cache_hits;
   metrics.plan_cache_misses = plan.rewrite_cache_misses;
   metrics.plan_cache_fallbacks = plan.rewrite_cache_fallbacks;
-  exec::ThreadPool* pool = exec_ctx.pool;
 
   // Context of the sequential sections (join build/probe, group
   // finalization); chunk fan-outs give each chunk a private copy (see
@@ -525,21 +510,17 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
 
   // ---- Scan (and join) ----
   OperatorTimer scan_timer("Scan", &metrics, start);
-  MAXSON_ASSIGN_OR_RETURN(
-      RecordBatch left,
-      ExecuteScan(plan.scan, &scan_timer, exec_ctx, *shared_scan_));
+  MAXSON_ASSIGN_OR_RETURN(RecordBatch left,
+                          ExecuteScan(plan.scan, &scan_timer, pool));
   scan_timer.Finish(0, left.num_rows());
-  if (exec_ctx.cancelled()) return Status::Cancelled("query cancelled");
 
   RecordBatch input;
   if (plan.join_scan.has_value()) {
     OperatorTimer join_scan_timer("Scan", &metrics, start);
     MAXSON_ASSIGN_OR_RETURN(
         RecordBatch right,
-        ExecuteScan(*plan.join_scan, &join_scan_timer, exec_ctx,
-                    *shared_scan_));
+        ExecuteScan(*plan.join_scan, &join_scan_timer, pool));
     join_scan_timer.Finish(0, right.num_rows());
-    if (exec_ctx.cancelled()) return Status::Cancelled("query cancelled");
     OperatorTimer join_timer("HashJoin", &metrics, start);
     // Hash join: build on the right side; build and probe run inline.
     std::multimap<std::string, size_t> build;
@@ -668,7 +649,6 @@ Result<QueryResult> QueryEngine::ExecutePlan(const PhysicalPlan& plan,
   } else {
     filtered = std::move(input);
   }
-  if (exec_ctx.cancelled()) return Status::Cancelled("query cancelled");
 
   // ---- Project / Aggregate ----
   // Output rows hold each projection's natural Value; the output batch's

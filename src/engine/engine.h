@@ -10,16 +10,11 @@
 #include "catalog/catalog.h"
 #include "common/result.h"
 #include "common/thread_annotations.h"
-#include "engine/exec_context.h"
 #include "engine/plan.h"
 #include "engine/plan_validator.h"
 #include "exec/thread_pool.h"
 #include "json/json_path.h"
 #include "xml/xml_path.h"
-
-namespace maxson::exec {
-class SharedScanManager;
-}  // namespace maxson::exec
 
 namespace maxson::obs {
 class MetricsRegistry;
@@ -83,10 +78,10 @@ class QueryEngine {
   /// Registry receiving this engine's per-query observability series
   /// (maxson_query_* counters and time histograms), published once per
   /// query after the merge barrier so counter totals are independent of the
-  /// thread count — and the cross-query maxson_sharedscan_* counters the
-  /// shared-scan manager publishes per scheduling event. Pass nullptr to
-  /// disable. Not owned.
-  void set_metrics_registry(obs::MetricsRegistry* registry);
+  /// thread count. Pass nullptr to disable. Not owned.
+  void set_metrics_registry(obs::MetricsRegistry* registry) {
+    metrics_registry_ = registry;
+  }
 
   /// Installs the source of live cache bindings the PlanValidator checks
   /// CacheColumnRequests against (MaxsonSession wires this to its
@@ -121,22 +116,6 @@ class QueryEngine {
   /// contract as set_num_threads.
   void set_raw_filter(bool enabled) { config_.enable_raw_filter = enabled; }
 
-  /// The shared-scan manager every scan of this engine subscribes to, so
-  /// concurrent queries over one table coalesce into one parse pass per
-  /// split (see exec/shared_scan.h). Exposed for stats and tests.
-  exec::SharedScanManager* shared_scan_manager() const {
-    return shared_scan_.get();
-  }
-
-  /// Installs the source of the cache-state stamp keying shared-scan
-  /// groups (MaxsonSession wires this to CacheRegistry::version), so
-  /// queries planned across an invalidation never coalesce. Pass an empty
-  /// function to remove; without a source every query shares stamp 0 —
-  /// only safe when nothing invalidates mid-flight.
-  void set_scan_validity_source(std::function<uint64_t()> source) {
-    scan_validity_source_ = std::move(source);
-  }
-
   /// Parses and plans `sql` without executing (used by the Fig. 13 bench to
   /// time plan generation with and without Maxson).
   Result<PhysicalPlan> Plan(const std::string& sql);
@@ -148,16 +127,14 @@ class QueryEngine {
   /// result).
   Result<QueryResult> Execute(const std::string& sql);
 
-  /// Executes an already-built plan under `ctx` (see exec_context.h for
-  /// the fields; Execute() assembles the context from the engine's
-  /// configuration). A default-constructed context runs the plan
-  /// sequentially; its scans still subscribe to the engine's manager. The
-  /// result's metrics carry the operator records and the read/parse/
-  /// compute split computed from them, and the trace, when enabled, gets
-  /// the execution's events; Execute() then stamps the plan time and
-  /// publishes the metrics.
+  /// Executes an already-built plan, fanning splits and row chunks across
+  /// `pool` (null runs the plan sequentially; Execute() passes the engine's
+  /// pool). The result's metrics carry the operator records and the
+  /// read/parse/compute split computed from them, and the trace, when
+  /// enabled, gets the execution's events; Execute() then stamps the plan
+  /// time and publishes the metrics.
   Result<QueryResult> ExecutePlan(const PhysicalPlan& plan,
-                                  const ExecContext& ctx);
+                                  exec::ThreadPool* pool);
 
  private:
   friend const ScalarFunction* LookupEngineFunction(const std::string& name,
@@ -193,12 +170,6 @@ class QueryEngine {
   obs::MetricsRegistry* metrics_registry_ = nullptr;
   obs::TraceRecorder* tracer_ = nullptr;
   std::shared_ptr<exec::ThreadPool> pool_;
-  /// Coalesces concurrent scans into shared parse passes (see
-  /// exec/shared_scan.h).
-  std::unique_ptr<exec::SharedScanManager> shared_scan_;
-  /// Cache-state stamp source for shared-scan group keys; see
-  /// set_scan_validity_source.
-  std::function<uint64_t()> scan_validity_source_;
   std::unordered_map<std::string, ScalarFunction> functions_;
   /// Caches of parsed path objects keyed by text, to keep path parsing out
   /// of the measured parse time. Shared across worker threads: lookups

@@ -184,18 +184,21 @@ bool IsTruthy(const Value& v) {
 namespace {
 
 Result<Value> EvaluateBinary(const Expr& expr, const EvalContext& ctx) {
-  // AND/OR: short-circuit with NULL-as-false semantics at this boundary.
-  if (expr.bin_op == BinaryOp::kAnd) {
+  // AND/OR: Kleene's three-valued logic. False decides AND and true
+  // decides OR, so a deciding left side skips the right; otherwise a NULL
+  // side makes the result NULL.
+  if (expr.bin_op == BinaryOp::kAnd || expr.bin_op == BinaryOp::kOr) {
+    const bool decider = expr.bin_op == BinaryOp::kOr;
     MAXSON_ASSIGN_OR_RETURN(Value lhs, EvaluateExpr(*expr.children[0], ctx));
-    if (!IsTruthy(lhs)) return Value::Bool(false);
+    if (!lhs.is_null() && IsTruthy(lhs) == decider) {
+      return Value::Bool(decider);
+    }
     MAXSON_ASSIGN_OR_RETURN(Value rhs, EvaluateExpr(*expr.children[1], ctx));
-    return Value::Bool(IsTruthy(rhs));
-  }
-  if (expr.bin_op == BinaryOp::kOr) {
-    MAXSON_ASSIGN_OR_RETURN(Value lhs, EvaluateExpr(*expr.children[0], ctx));
-    if (IsTruthy(lhs)) return Value::Bool(true);
-    MAXSON_ASSIGN_OR_RETURN(Value rhs, EvaluateExpr(*expr.children[1], ctx));
-    return Value::Bool(IsTruthy(rhs));
+    if (!rhs.is_null() && IsTruthy(rhs) == decider) {
+      return Value::Bool(decider);
+    }
+    if (lhs.is_null() || rhs.is_null()) return Value::Null();
+    return Value::Bool(!decider);
   }
 
   MAXSON_ASSIGN_OR_RETURN(Value lhs, EvaluateExpr(*expr.children[0], ctx));
@@ -294,6 +297,7 @@ Result<Value> EvaluateExpr(const Expr& expr, const EvalContext& ctx) {
       MAXSON_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*expr.children[0], ctx));
       switch (expr.un_op) {
         case UnaryOp::kNot:
+          if (v.is_null()) return Value::Null();
           return Value::Bool(!IsTruthy(v));
         case UnaryOp::kNeg:
           if (v.is_null()) return Value::Null();

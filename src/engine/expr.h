@@ -151,8 +151,11 @@ struct EvalContext {
 };
 
 /// Evaluates a bound, aggregate-free expression for one row. NULL propagates
-/// through arithmetic; comparisons with NULL yield NULL (falsy); AND/OR use
-/// three-valued logic collapsed to NULL-as-false at the filter boundary.
+/// through arithmetic and comparisons. NOT, AND and OR are three-valued:
+/// NOT NULL is NULL, false decides AND, true decides OR, and otherwise a
+/// NULL operand gives NULL. Only WHERE and HAVING collapse NULL to false,
+/// through IsTruthy, when they keep or drop a row; join keys never match
+/// NULL.
 Result<storage::Value> EvaluateExpr(const Expr& expr, const EvalContext& ctx);
 
 /// True when `v` is non-null and truthy (boolean true or nonzero number).

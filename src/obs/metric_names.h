@@ -13,8 +13,8 @@ namespace maxson::obs {
 /// maxson_queries_total / plan-cache / rewrite counters carry only
 /// deterministic per-query quantities published once per query after the
 /// merge barrier, so their totals are byte-identical at every parallelism
-/// degree. Scheduling counters (maxson_sharedscan_*, maxson_serve_*) count
-/// cross-query overlap events and are monitoring/bench signals only.
+/// degree. Scheduling counters (maxson_serve_*) count cross-query overlap
+/// events and are monitoring/bench signals only.
 
 // --- Query execution (engine.cc, published once per query) ---
 inline constexpr char kQueriesTotal[] = "maxson_queries_total";
@@ -97,24 +97,6 @@ inline constexpr char kServeResultCacheMisses[] =
 inline constexpr char kServeIoRetries[] = "maxson_serve_io_retries_total";
 inline constexpr char kServeQueueDepth[] = "maxson_serve_queue_depth";
 inline constexpr char kServeInFlight[] = "maxson_serve_in_flight";
-
-// --- Shared-scan scheduling (shared_scan.cc) ---
-/// One subscription = one query-side scan with sharing enabled.
-inline constexpr char kSharedScanSubscribers[] =
-    "maxson_sharedscan_subscribers";
-/// One increment per morsel a subscription *attached to* instead of parsing
-/// itself — the count of parse passes coalesced away. With K identical
-/// queries over an S-split table fully overlapped, this reads (K-1)*S.
-inline constexpr char kSharedScanCoalescedParses[] =
-    "maxson_sharedscan_coalesced_parses";
-/// One increment per parse pass actually executed (the denominator for the
-/// coalescing ratio: passes + coalesced = morsels requested).
-inline constexpr char kSharedScanParsePasses[] =
-    "maxson_sharedscan_parse_passes";
-/// Input bytes (CORC bytes read + raw bytes parsed) whose re-processing was
-/// avoided: each coalesced attach adds the bytes the shared pass consumed.
-inline constexpr char kSharedScanSavedBytes[] =
-    "maxson_sharedscan_saved_bytes";
 
 }  // namespace maxson::obs
 

@@ -242,6 +242,35 @@ TEST_F(EngineEdgeTest, EqualNumbersKeyTogetherAcrossTypeAndSign) {
   }
 }
 
+TEST_F(EngineEdgeTest, MissingPathPartitionsRowsThreeWays) {
+  // A path no record has makes p NULL on every row: WHERE p and WHERE NOT p
+  // keep no row, and WHERE p IS NULL keeps them all. Three chunks of rows,
+  // so the 4-thread run fans the filter out.
+  std::vector<std::string> payloads;
+  for (int i = 0; i < 2500; ++i) {
+    payloads.push_back(R"({"v":)" + std::to_string(i) + "}");
+  }
+  WriteJsonTable("nopath", payloads);
+  const std::string p = "get_json_object(payload, '$.nope') = 'x'";
+  for (const size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    EXPECT_EQ(Run("SELECT id FROM nopath WHERE " + p, threads)
+                  .batch.num_rows(),
+              0u);
+    EXPECT_EQ(Run("SELECT id FROM nopath WHERE NOT (" + p + ")", threads)
+                  .batch.num_rows(),
+              0u);
+    EXPECT_EQ(Run("SELECT id FROM nopath WHERE (" + p + ") IS NULL", threads)
+                  .batch.num_rows(),
+              payloads.size());
+    EXPECT_EQ(Run("SELECT id FROM nopath WHERE get_json_object(payload, "
+                  "'$.nope') NOT IN ('a', 'b')",
+                  threads)
+                  .batch.num_rows(),
+              0u);
+  }
+}
+
 struct BinOpCase {
   const char* expr;
   const char* expected;  // rendered result on the single-row probe
@@ -300,6 +329,12 @@ INSTANTIATE_TEST_SUITE_P(
         BinOpCase{"NOT x = 5", "false"},
         BinOpCase{"x = 5 AND x > 1", "true"},
         BinOpCase{"x = 4 OR x = 5", "true"},
+        // Three-valued logic: NOT keeps NULL, false decides AND, true
+        // decides OR, and otherwise NULL wins.
+        BinOpCase{"NOT NULL = 5", "NULL"},
+        BinOpCase{"NULL = 1 AND 1 = 0", "false"},
+        BinOpCase{"NULL = 1 OR 1 = 1", "true"},
+        BinOpCase{"NULL = 1 AND 1 = 1", "NULL"},
         BinOpCase{"x / 0", "NULL"},          // division by zero -> NULL
         BinOpCase{"x % 0", "NULL"},
         BinOpCase{"x + 0.5", "5.5"},         // int + double widens

@@ -89,8 +89,8 @@ TEST_F(ShellTest, MalformedSetValuesAreRejectedWithErrors) {
       << output;
   EXPECT_NE(output.find("usage: "), std::string::npos) << output;
   EXPECT_NE(output.find("set threads N"), std::string::npos) << output;
-  // Scan sharing is how every scan runs, and cache files have one format:
-  // neither is a knob.
+  // Queries do not share scans, and cache files have one format: neither
+  // is a knob.
   EXPECT_EQ(output.find("sharedscan"), std::string::npos) << output;
   EXPECT_EQ(output.find("corcencoding"), std::string::npos) << output;
 }
@@ -204,14 +204,14 @@ TEST_F(ShellTest, ValidKnobsAndQueriesStillWork) {
       "set budget 1000000\n"
       "SELECT id FROM t WHERE id < 3\n"
       ".stats\n"
+      ".help\n"
       ".quit\n");
   EXPECT_NE(output.find("rawfilter = on"), std::string::npos) << output;
   EXPECT_NE(output.find("budget = 1000000"), std::string::npos) << output;
-  // Every scan subscribes to the shared-scan manager: the one query over
-  // the one-split table is one subscription running one pass.
-  EXPECT_NE(output.find("sharedscan:     1 subscribers, 1 passes, 0 coalesced"),
-            std::string::npos)
-      << output;
+  EXPECT_NE(output.find("faultinject:"), std::string::npos) << output;
+  // Each query scans alone: neither .stats nor .help mentions scan sharing.
+  EXPECT_EQ(output.find("sharedscan"), std::string::npos) << output;
+  EXPECT_EQ(output.find("shared-scan"), std::string::npos) << output;
   EXPECT_NE(output.find("id"), std::string::npos) << output;
   EXPECT_EQ(output.find("error:"), std::string::npos) << output;
 }

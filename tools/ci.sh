@@ -31,12 +31,12 @@
 #   tsan    ThreadSanitizer build + full test suite (the parallel execution
 #           runtime must be race-clean); the metrics-determinism test, the
 #           CacheRegistry stress test, the serving-layer test, the
-#           shared-scan executor test, the extraction differential test
-#           (one DOM extractor per worker chunk), and the
-#           midnight-cycle-vs-queries race (bare sessions scan through the
-#           shared-scan scheduler while the cycle rewrites the cache) also
-#           run standalone so a racy counter, serving race, scan-sharing
-#           race or shared extractor fails loudly by name.
+#           concurrent scan test (many queries scanning one table at
+#           once), the extraction differential test (one DOM extractor
+#           per worker chunk), and the midnight-cycle-vs-queries race
+#           (bare sessions scan while the cycle rewrites the cache) also
+#           run standalone so a racy counter, serving race, concurrent
+#           scan race or shared extractor fails loudly by name.
 #   crash   Crash-consistency suite: the durability tests (corruption
 #           matrix, kill-at-every-fault-point midnight sweep) re-run
 #           standalone under Release and ASan, plus one run with the
@@ -167,8 +167,8 @@ if [[ "$run_tsan" == 1 ]]; then
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/registry_stress_test
   echo "=== Serving layer under TSan ==="
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/serve_test
-  echo "=== Shared-scan executor under TSan ==="
-  TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/shared_scan_test
+  echo "=== Concurrent scans under TSan ==="
+  TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/concurrent_scan_test
   echo "=== Extraction differential test under TSan ==="
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/extraction_differential_test
   echo "=== Midnight cycle racing queries under TSan ==="

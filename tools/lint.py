@@ -44,14 +44,14 @@ Encodes the project-specific invariants that generic tooling cannot know
                        not validate the subtrees it skips, so it stays a
                        library and a bench subject until it does, and the
                        query path parses through the DOM parser (or Mison).
-  exec-layering        src/exec/ is the scheduling layer *below* parsing and
-                       execution: it must not include engine/json/xml/core/
-                       serve/catalog/ml/workload/simd headers nor name the
-                       parse/execute entry points (MisonParser, CorcReader,
-                       RawFilter, ExecutePlan, ExecuteScan). Scan work
-                       reaches the scheduler as a SharedScanPassFn callback
-                       supplied by the layer above, keeping the dependency
-                       arrow engine -> exec one-directional.
+  exec-layering        src/exec/ is the thread pool, the layer *below*
+                       storage, parsing and execution: it must not include
+                       engine/json/xml/core/serve/catalog/ml/workload/simd/
+                       storage/obs headers nor name the parse/execute entry
+                       points (MisonParser, CorcReader, RawFilter,
+                       ExecutePlan, ExecuteScan). Work reaches the pool as
+                       tasks the layer above submits, keeping the
+                       dependency arrow engine -> exec one-directional.
   operator-timing      src/engine/ records query time only through
                        OperatorTimer (engine/operator_timer.h): no
                        obs::TraceSpan there (the trace is computed from
@@ -81,6 +81,11 @@ Encodes the project-specific invariants that generic tooling cannot know
                        cannot attribute — clang -Wthread-safety remains the
                        precise per-TU check; this rule adds the cross-TU
                        ordering discipline clang cannot see.
+  stale-exemption      Every exemption still names code in src/: both locks
+                       of each LOCK_HIERARCHY edge are locks the lock-order
+                       model finds, and each COUNTER_WRITE_ALLOWLIST entry
+                       matches a file. An exemption that outlives its code
+                       would pre-approve whatever next takes its name.
   status-discard       A statement that calls a Status / Result<T>-returning
                        function and drops the value. Redundant with the
                        [[nodiscard]] -Werror build for compiled code, but it
@@ -121,8 +126,6 @@ COUNTER_WRITE_ALLOWLIST = (
     "src/core/maxson_parser.cc",  # rewrite outcome counters
     "src/serve/",            # serving-layer counters (admission, result
                              # cache) publish outside any query's merge
-    "src/exec/shared_scan.cc",  # cross-query scan-sharing counters have no
-                                # per-query merge barrier to publish behind
 )
 
 # nodiscard-guard: (file, regex that must match somewhere in the file).
@@ -150,7 +153,8 @@ ONDEMAND_PARSER_INCLUDE_RE = re.compile(
 # ondemand-query-path: directories of the query path.
 ONDEMAND_BANNED_DIRS = ("src/engine/", "src/core/")
 EXEC_BANNED_INCLUDE_RE = re.compile(
-    r'#\s*include\s+"(?:engine|json|xml|core|serve|catalog|ml|workload|simd)/')
+    r'#\s*include\s+"(?:engine|json|xml|core|serve|catalog|ml|workload|simd'
+    r'|storage|obs)/')
 EXEC_BANNED_IDENT_RE = re.compile(
     r"\b(?:MisonParser|CorcReader|RawFilter|ExecutePlan|ExecuteScan)\b")
 TRACE_SPAN_RE = re.compile(r"\bTraceSpan\b")
@@ -172,12 +176,6 @@ TRAILING_WS_RE = re.compile(r"[ \t]+$")
 # set and on any cycle in the combined declared + observed graph. Adding an
 # edge here is a design decision: document the call path that needs it.
 LOCK_HIERARCHY = {
-    # The manager lock is the outer lock of the shared-scan layer. Today
-    # Subscribe deliberately releases mutex_ before registering morsels
-    # (so subscriptions to different tables never contend), but if manager
-    # and scheduler locks are ever nested, this is the only legal order —
-    # MorselScheduler must never call back into its owning manager.
-    ("SharedScanManager::mutex_", "MorselScheduler::mutex_"),
     # MaxsonServer::EnableResultCache clears the result cache under
     # options_mutex_ so "disable" atomically implies "emptied".
     ("MaxsonServer::options_mutex_", "ResultCache::mutex_"),
@@ -462,7 +460,9 @@ def _scan_file_for_locks(model, rel, lines):
                         (rel, lineno, [n for n, _ in held], callee))
 
 
-def check_lock_order(root, files, out):
+def check_lock_order(root, files, out, lock_hierarchy):
+    """Checks observed lock nesting against `lock_hierarchy`; returns the
+    lock model it built."""
     model = LockModel()
     src_files = [(rel, lines) for rel, lines in sorted(files.items())
                  if rel.startswith("src/")]
@@ -506,7 +506,7 @@ def check_lock_order(root, files, out):
                 "lock-order", rel, lineno,
                 f"acquires {inner} while already holding it — "
                 "self-deadlock"))
-        elif (holder, inner) not in LOCK_HIERARCHY:
+        elif (holder, inner) not in lock_hierarchy:
             out.append(Violation(
                 "lock-order", rel, lineno,
                 f"undeclared nesting: {inner} acquired while holding "
@@ -516,7 +516,7 @@ def check_lock_order(root, files, out):
 
     # Cycle check over declared + observed edges.
     graph = {}
-    for holder, inner in set(edges) | LOCK_HIERARCHY:
+    for holder, inner in set(edges) | lock_hierarchy:
         graph.setdefault(holder, set()).add(inner)
     state = {}  # node -> 1 (on stack) / 2 (done)
     cycles = []
@@ -541,6 +541,27 @@ def check_lock_order(root, files, out):
         out.append(Violation(
             "lock-order", rel, lineno,
             "lock-order cycle: " + " -> ".join(cycle)))
+    return model
+
+
+def check_stale_exemptions(files, model, lock_hierarchy, counter_allowlist,
+                           out):
+    for edge in sorted(lock_hierarchy):
+        missing = [node for node in edge
+                   if not model.is_lock(*node.split("::", 1))]
+        if missing:
+            out.append(Violation(
+                "stale-exemption", "tools/lint.py", 0,
+                f"LOCK_HIERARCHY edge {edge[0]} -> {edge[1]} names "
+                f"{', '.join(missing)}, which the lock model does not find "
+                "in src/ — delete the edge"))
+    src_files = [rel for rel in files if rel.startswith("src/")]
+    for entry in counter_allowlist:
+        if not any(rel == entry or rel.startswith(entry) for rel in src_files):
+            out.append(Violation(
+                "stale-exemption", "tools/lint.py", 0,
+                f"COUNTER_WRITE_ALLOWLIST entry {entry} matches no file in "
+                "src/ — delete the entry"))
 
 
 class Violation:
@@ -601,10 +622,10 @@ def check_wall_clock(root, rel, lines, out):
                 "from common/time_util.h"))
 
 
-def check_counter_write(root, rel, lines, out):
+def check_counter_write(root, rel, lines, out, counter_allowlist):
     if not rel.startswith("src/"):
         return
-    if any(rel == a or rel.startswith(a) for a in COUNTER_WRITE_ALLOWLIST):
+    if any(rel == a or rel.startswith(a) for a in counter_allowlist):
         return
     for i, line in enumerate(lines, 1):
         if COUNTER_WRITE_RE.search(strip_line_comment(line)):
@@ -694,14 +715,14 @@ def check_exec_layering(root, rel, lines, out):
         if EXEC_BANNED_INCLUDE_RE.search(code):
             out.append(Violation(
                 "exec-layering", rel, i,
-                "src/exec/ must not include the parse/execute layers — the "
-                "scheduler receives work as a SharedScanPassFn callback, "
-                "never by calling parsers or the engine itself"))
+                "src/exec/ must not include the layers above the thread "
+                "pool — it runs the tasks they submit, never calling "
+                "storage, parsers or the engine itself"))
         elif EXEC_BANNED_IDENT_RE.search(code):
             out.append(Violation(
                 "exec-layering", rel, i,
-                "parse/execute entry point named in src/exec/ — route the "
-                "work through a pass callback supplied by the layer above"))
+                "parse/execute entry point named in src/exec/ — the layer "
+                "above submits that work to the pool as a task"))
 
 
 def check_operator_timing(root, rel, lines, out):
@@ -867,7 +888,8 @@ def check_final_newline(root, rel, lines, out, fix):
                          "file must end with exactly one newline"))
 
 
-def run_lint(root, fix=False):
+def run_lint(root, fix=False, lock_hierarchy=LOCK_HIERARCHY,
+             counter_allowlist=COUNTER_WRITE_ALLOWLIST):
     violations = []
     files = {}
     for rel in iter_cpp_files(root):
@@ -878,7 +900,7 @@ def run_lint(root, fix=False):
         check_final_newline(root, rel, lines, violations, fix)
         check_thread_create(root, rel, lines, violations)
         check_wall_clock(root, rel, lines, violations)
-        check_counter_write(root, rel, lines, violations)
+        check_counter_write(root, rel, lines, violations, counter_allowlist)
         check_simd_intrinsics(root, rel, lines, violations)
         check_ondemand_tape(root, rel, lines, violations)
         check_ondemand_query_path(root, rel, lines, violations)
@@ -891,7 +913,9 @@ def run_lint(root, fix=False):
     # Cross-file analyses run once over the collected tree.
     check_status_discard(root, files, violations)
     check_metric_names(root, files, violations)
-    check_lock_order(root, files, violations)
+    model = check_lock_order(root, files, violations, lock_hierarchy)
+    check_stale_exemptions(files, model, lock_hierarchy, counter_allowlist,
+                           violations)
     return violations
 
 
@@ -1022,6 +1046,13 @@ SELF_TEST_FILES = (
 )
 
 
+# stale-exemption seeds: one exemption of each table that names code the
+# seeded tree lacks. The self-test lints the seeded tree with these tables
+# in place of the real ones, whose entries name code only the repo has.
+SELF_TEST_LOCK_HIERARCHY = {("RetiredScheduler::mutex_", "BadOrderA::mutex_")}
+SELF_TEST_COUNTER_ALLOWLIST = ("src/engine/retired_publisher.cc",)
+
+
 def self_test():
     failures = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -1030,7 +1061,8 @@ def self_test():
             os.makedirs(os.path.dirname(path), exist_ok=True)
             with open(path, "w", encoding="utf-8") as f:
                 f.write(content)
-        found = run_lint(tmp)
+        found = run_lint(tmp, lock_hierarchy=SELF_TEST_LOCK_HIERARCHY,
+                         counter_allowlist=SELF_TEST_COUNTER_ALLOWLIST)
         hits = {(v.rule, v.path) for v in found}
         for rule, rel, _ in SELF_TEST_FILES:
             # rule=None marks a support file another seed needs (a header
@@ -1047,17 +1079,28 @@ def self_test():
             failures.append("lock-order did not report the undeclared edge")
         if not any("cycle" in m for m in order_msgs):
             failures.append("lock-order did not report the hierarchy cycle")
+        # Each stale-exemption seed is reported, naming only the missing
+        # lock of its edge: BadOrderA::mutex_ exists.
+        stale_msgs = [v.message for v in found if v.rule == "stale-exemption"]
+        stale_seeds = ["RetiredScheduler::mutex_ -> BadOrderA::mutex_ names "
+                       "RetiredScheduler::mutex_, which",
+                       "entry src/engine/retired_publisher.cc matches"]
+        for seed in stale_seeds:
+            if not any(seed in m for m in stale_msgs):
+                failures.append(f"stale-exemption did not report: {seed}")
         # --fix must clear the mechanical categories and only those: the
         # semantic rules must survive a --fix run unrepaired and unsilenced.
-        fixed_left = {v.rule for v in run_lint(tmp, fix=True)}
+        fixed_left = {v.rule for v in run_lint(
+            tmp, fix=True, lock_hierarchy=SELF_TEST_LOCK_HIERARCHY,
+            counter_allowlist=SELF_TEST_COUNTER_ALLOWLIST)}
         for rule in ("trailing-whitespace", "final-newline"):
             if rule in fixed_left:
                 failures.append(f"--fix did not repair {rule}")
         for rule in ("thread-create", "wall-clock", "counter-write",
                      "simd-intrinsics", "ondemand-tape",
                      "ondemand-query-path", "exec-layering",
-                     "operator-timing", "lock-order", "mutex-annotation", "status-discard",
-                     "metric-name"):
+                     "operator-timing", "lock-order", "mutex-annotation",
+                     "status-discard", "metric-name", "stale-exemption"):
             if rule not in fixed_left:
                 failures.append(f"--fix must not silence {rule}")
     if failures:
@@ -1065,7 +1108,9 @@ def self_test():
             print(f"self-test FAILED: {f}", file=sys.stderr)
         return 1
     rules = {rule for rule, _, _ in SELF_TEST_FILES if rule is not None}
-    seeds = sum(1 for rule, _, _ in SELF_TEST_FILES if rule is not None)
+    rules.add("stale-exemption")
+    seeds = (sum(1 for rule, _, _ in SELF_TEST_FILES if rule is not None) +
+             len(SELF_TEST_LOCK_HIERARCHY) + len(SELF_TEST_COUNTER_ALLOWLIST))
     print(f"self-test OK: all {len(rules)} rules fire on "
           f"{seeds} seeded violations and --fix repairs only "
           "the mechanical ones")

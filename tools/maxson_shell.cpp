@@ -71,8 +71,8 @@ void PrintHelp() {
       ".train FIRST LAST    train the MPJP predictor on target days\n"
       ".midnight DAY        run the nightly predict/score/cache cycle\n"
       ".cache               show cache registry entries\n"
-      ".stats               session counter snapshot (incl. shared-scan\n"
-      "                     subscribers, passes and coalesced passes)\n"
+      ".stats               session counter snapshot (rewrite cache,\n"
+      "                     registry, pool, midnight cycles, tracing)\n"
       ".serve               serving-layer snapshot (result cache, admission)\n"
       ".metrics             dump the metrics registry (Prometheus text;\n"
       "                     *_seconds series are summed per-task CPU time,\n"
@@ -210,9 +210,7 @@ int Run(const ShellOptions& options) {
             "midnight:       %llu cycles\n"
             "tracing:        %s (%llu events)\n"
             "simd:           isa=%s\n"
-            "faultinject:    %s\n"
-            "sharedscan:     %llu subscribers, %llu passes, %llu coalesced, "
-            "%llu bytes saved\n",
+            "faultinject:    %s\n",
             static_cast<unsigned long long>(stats.rewrite_cache_hits),
             static_cast<unsigned long long>(stats.rewrite_cache_misses),
             static_cast<unsigned long long>(stats.rewrite_invalidations),
@@ -224,11 +222,7 @@ int Run(const ShellOptions& options) {
             static_cast<unsigned long long>(stats.midnight_cycles),
             stats.tracing_enabled ? "on" : "off",
             static_cast<unsigned long long>(stats.trace_events),
-            stats.simd_isa.c_str(), stats.fault_injection.c_str(),
-            static_cast<unsigned long long>(stats.sharedscan_subscribers),
-            static_cast<unsigned long long>(stats.sharedscan_parse_passes),
-            static_cast<unsigned long long>(stats.sharedscan_coalesced_parses),
-            static_cast<unsigned long long>(stats.sharedscan_saved_bytes));
+            stats.simd_isa.c_str(), stats.fault_injection.c_str());
       } else if (cmd == ".serve") {
         const auto cache_stats = server.result_cache_stats();
         const auto admission = server.admission_snapshot("shell");
